@@ -43,7 +43,7 @@ func main() {
 	for _, version := range []int{100, 114, 115, 127} {
 		doc := policy.NewTopLevel(origin.MustParse("https://victim.example"), policy.Policy{})
 		realm := webapi.NewRealm(doc, "https://victim.example/")
-		realm.Version = version
+		realm.SetBrowser(permissions.Chromium, version)
 		if err := realm.RunScript(`window.__exfil = document.featurePolicy.features().join(',');`, ""); err != nil {
 			fmt.Fprintln(os.Stderr, "fingerprint:", err)
 			os.Exit(1)

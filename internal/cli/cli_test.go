@@ -186,6 +186,26 @@ func TestCrawlCommand(t *testing.T) {
 	}
 }
 
+// TestCrawlProfiles checks that -cpuprofile and -memprofile each leave a
+// non-empty pprof file behind a small crawl.
+func TestCrawlProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	var out, errOut bytes.Buffer
+	code := Crawl(context.Background(), []string{
+		"-sites", "20", "-seed", "3", "-workers", "4", "-timeout", "300ms",
+		"-out", filepath.Join(dir, "out.jsonl"), "-cpuprofile", cpu, "-memprofile", mem,
+	}, &out, &errOut)
+	if code != 0 {
+		t.Fatalf("crawl: code=%d stderr=%q", code, errOut.String())
+	}
+	for _, p := range []string{cpu, mem} {
+		if fi, err := os.Stat(p); err != nil || fi.Size() == 0 {
+			t.Errorf("%s: want a non-empty profile, got %v (err %v)", filepath.Base(p), fi, err)
+		}
+	}
+}
+
 // TestCrawlOfflineReplay is the CLI shape of the offline-replay CI
 // job: warm crawl with -cache-dir, offline re-crawl of the same
 // population, identical reports and zero network fetches.

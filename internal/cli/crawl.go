@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"time"
 
 	"permodyssey/internal/bundle"
@@ -58,6 +60,8 @@ func Crawl(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	era := fs.Int("era", 0, "crawl a population calibrated to this measurement year (2020, 2022, or 2024+; 0 = the paper's present-day defaults) for longitudinal comparisons")
 	bundlePath := fs.String("bundle", "", "after a finished crawl, seal config, dataset, report, and the -cache-dir archive into a Web Execution Bundle at this path (directory or .tar.gz)")
 	bundleKey := fs.String("bundle-key", "", "HMAC-sign the bundle digest with this key")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the crawl to this file")
+	memProfile := fs.String("memprofile", "", "write a heap allocation profile to this file after the crawl")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -204,7 +208,25 @@ func Crawl(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
+	var stopCPU func() error
+	if *cpuProfile != "" {
+		if stopCPU, err = startCPUProfile(*cpuProfile); err != nil {
+			f.Close()
+			fmt.Fprintln(stderr, "permcrawl: cpuprofile:", err)
+			return 1
+		}
+	}
 	m, err := core.Run(ctx, opts)
+	if stopCPU != nil {
+		if perr := stopCPU(); perr != nil && err == nil {
+			err = fmt.Errorf("cpuprofile: %w", perr)
+		}
+	}
+	if err == nil && *memProfile != "" {
+		if err = writeMemProfile(*memProfile); err != nil {
+			err = fmt.Errorf("memprofile: %w", err)
+		}
+	}
 	if err != nil {
 		f.Close()
 		fmt.Fprintln(stderr, "permcrawl:", err)
@@ -258,6 +280,38 @@ func Crawl(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stdout, m.Report())
 	}
 	return 0
+}
+
+// startCPUProfile starts CPU profiling into path. The returned function
+// stops the profile and closes the file.
+func startCPUProfile(path string) (func() error, error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return func() error {
+		pprof.StopCPUProfile()
+		return f.Close()
+	}, nil
+}
+
+// writeMemProfile writes the allocation profile (every sampled
+// allocation since start, plus the live heap) to path.
+func writeMemProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC() // bring the live-heap figures up to date
+	if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // touchFile advances path's mtime, creating it (stamped with this

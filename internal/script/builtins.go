@@ -243,9 +243,9 @@ func RejectedPromise(reason Value) Value {
 
 // Promise methods are shared this-based natives rather than per-promise
 // closures: they read __state/__value from the receiver, so a promise
-// object cloned into another realm by InstallSnapshot keeps working —
-// a captured-variable implementation would leak the template's state
-// and identity into every clone.
+// frozen into a GlobalSnapshot works through each realm's view of it —
+// a captured-variable implementation would hand the frozen template
+// promise itself to every realm.
 var promiseThenV, promiseCatchV, promiseFinallyV Value
 
 func init() {

@@ -19,11 +19,15 @@ import (
 // A frame slot whose value is the unset sentinel does not bind its name
 // yet — hoisted slots come into existence only when their declaration
 // executes, matching the map mode's "no key until Define" semantics.
+//
+// A stamped realm's global scope also carries views: names it has no
+// binding for resolve through the realm's GlobalSnapshot.
 type Env struct {
 	vars   map[string]Value
 	parent *Env
 	layout *frameLayout
 	slots  []Value
+	views  *realmViews
 }
 
 // kindUnset marks a frame slot whose declaration has not executed yet.
@@ -118,6 +122,11 @@ func (e *Env) Get(name string) (Value, bool) {
 		if v, ok := s.vars[name]; ok {
 			return v, true
 		}
+		if s.views != nil {
+			if v, ok := s.views.lookup(name); ok {
+				return v, true
+			}
+		}
 	}
 	return Undefined(), false
 }
@@ -204,6 +213,7 @@ type Interp struct {
 	// shared native functions recover at call time — the indirection that
 	// makes one immutable global-object template serve every realm.
 	Host  any
+	views realmViews
 	steps int
 	stack []frame
 	// rng is a deterministic LCG for Math.random, keeping crawls
@@ -212,9 +222,9 @@ type Interp struct {
 }
 
 // NewInterp creates an interpreter with standard builtins installed.
-// The builtins are stamped from a shared snapshot rather than rebuilt:
-// constructing a realm costs a shallow clone of a few namespace
-// objects, not hundreds of fresh natives.
+// The builtins are stamped from a shared frozen snapshot rather than
+// rebuilt: constructing an interpreter copies nothing, and a builtin
+// namespace becomes a realm-local view only when a script reaches it.
 func NewInterp() *Interp {
 	in := NewBareInterp()
 	in.InstallSnapshot(builtinsSnapshot())

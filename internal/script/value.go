@@ -46,6 +46,15 @@ type Object struct {
 	// used for host constructors that also carry static properties
 	// (Notification.requestPermission alongside new Notification()).
 	Call *Native
+
+	// frozen marks an object of a GlobalSnapshot: shared by every realm
+	// stamped from it, so writes panic.
+	frozen bool
+	// base, when set, makes this object a realm's view of a frozen
+	// object: props and order hold only the realm's own writes, and
+	// reads fall through to base, lifted through views.
+	base  *Object
+	views *realmViews
 }
 
 // Array is a JS array.
@@ -57,6 +66,9 @@ type Array struct {
 	// Allocated lazily; JSON serialization ignores it, like
 	// JSON.stringify does for non-index array properties.
 	Props map[string]Value
+	// frozen marks an array of a GlobalSnapshot; realms copy it on
+	// first reach instead of viewing it.
+	frozen bool
 }
 
 // Closure is a user-defined function.
@@ -159,30 +171,61 @@ func (v Value) Truthy() bool {
 	}
 }
 
-// Set assigns a property, preserving insertion order for new keys.
+// Set assigns a property, preserving insertion order for new keys. On a
+// realm view the write lands in the view's overlay; on a frozen
+// snapshot object it panics.
 func (o *Object) Set(key string, v Value) {
+	if o.frozen {
+		panic("script: write of " + strconv.Quote(key) + " to a frozen snapshot object")
+	}
 	if _, exists := o.props[key]; !exists {
-		o.order = append(o.order, key)
+		if o.props == nil {
+			o.props = map[string]Value{}
+		}
+		if _, inherited := o.baseProp(key); !inherited {
+			o.order = append(o.order, key)
+		}
 	}
 	o.props[key] = v
 }
 
 // Get reads a property.
 func (o *Object) Get(key string) (Value, bool) {
-	v, ok := o.props[key]
+	if v, ok := o.props[key]; ok {
+		return v, true
+	}
+	if v, ok := o.baseProp(key); ok {
+		return o.views.lift(v), true
+	}
+	return Value{}, false
+}
+
+// baseProp reads a view's frozen base without lifting the result.
+func (o *Object) baseProp(key string) (Value, bool) {
+	if o.base == nil {
+		return Value{}, false
+	}
+	v, ok := o.base.props[key]
 	return v, ok
 }
 
 // GetOr reads a property with a default.
 func (o *Object) GetOr(key string, def Value) Value {
-	if v, ok := o.props[key]; ok {
+	if v, ok := o.Get(key); ok {
 		return v
 	}
 	return def
 }
 
-// Keys returns property names in insertion order.
-func (o *Object) Keys() []string { return append([]string{}, o.order...) }
+// Keys returns property names in insertion order; a view lists its
+// base's keys first, then the keys the realm added.
+func (o *Object) Keys() []string {
+	if o.base == nil {
+		return append([]string{}, o.order...)
+	}
+	keys := make([]string, 0, len(o.base.order)+len(o.order))
+	return append(append(keys, o.base.order...), o.order...)
+}
 
 // ToString implements JS ToString for diagnostics and concatenation.
 func (v Value) ToString() string {
@@ -335,7 +378,7 @@ func JSONString(v Value) string {
 		sort.Strings(keys)
 		parts := make([]string, 0, len(keys))
 		for _, k := range keys {
-			pv := v.obj.props[k]
+			pv, _ := v.obj.Get(k)
 			if pv.IsCallable() {
 				continue
 			}

@@ -14,11 +14,12 @@ import (
 // Permissions Policy.
 //
 // The surface itself — hundreds of natives across navigator, document,
-// and a dozen constructors — is built ONCE on a package-level template
-// and stamped into each realm as a deep clone (script.GlobalSnapshot).
-// Natives are shared across realms and recover their realm through
-// script.Interp.Host at call time; only the mutable object graph is
-// cloned, so NewRealm costs a copy instead of a rebuild.
+// and a dozen constructors — is built ONCE on a package-level template,
+// frozen into a script.GlobalSnapshot and stamped into each realm
+// copy-on-write: a realm sees each surface object through its own view
+// and pays only for the objects its scripts write to. Natives are
+// shared across realms and recover their realm through
+// script.Interp.Host at call time.
 type Realm struct {
 	Doc *policy.Document
 	Rec *Recorder
@@ -26,7 +27,8 @@ type Realm struct {
 	// FrameURL is the document's URL; inline scripts attribute to it.
 	FrameURL string
 	// Browser/Version select the support surface exposed to scripts
-	// (feeding the fingerprinting observation of §4.1.1).
+	// (feeding the fingerprinting observation of §4.1.1). Change them
+	// with SetBrowser, which keeps navigator.userAgent in step.
 	Browser permissions.Browser
 	Version int
 	// ParseScript, when non-nil, replaces script.Parse — the crawl
@@ -48,14 +50,33 @@ func NewRealm(doc *policy.Document, frameURL string) *Realm {
 		Rec:      &Recorder{},
 		In:       script.NewBareInterp(),
 		FrameURL: frameURL,
-		Browser:  permissions.Chromium,
-		Version:  127, // the paper crawled with Chromium 127 (C13)
 		handlers: map[string][]script.Value{},
 	}
 	r.In.InstallSnapshot(surfaceSnapshot())
 	r.In.Host = r
 	r.patchRealmState()
+	r.SetBrowser(permissions.Chromium, 127) // the paper crawled with Chromium 127 (C13)
 	return r
+}
+
+// SetBrowser selects the browser and version the realm emulates. The
+// features() surface reads them at call time; navigator.userAgent is
+// re-patched here, so the fingerprint surface of §4.1.1 stays
+// consistent.
+func (r *Realm) SetBrowser(b permissions.Browser, version int) {
+	r.Browser, r.Version = b, version
+	var ua string
+	switch b {
+	case permissions.Firefox:
+		ua = fmt.Sprintf("Mozilla/5.0 (X11; Linux x86_64; rv:%d.0) Gecko/20100101 Firefox/%d.0", version, version)
+	case permissions.Safari:
+		ua = fmt.Sprintf("Mozilla/5.0 (Macintosh; Intel Mac OS X 10_15_7) Version/%d.0 Safari/605.1.15", version)
+	default:
+		ua = fmt.Sprintf("Mozilla/5.0 (X11; Linux x86_64) Chrome/%d.0.0.0", version)
+	}
+	if nav, ok := r.In.Global.Get("navigator"); ok && nav.Kind() == script.KindObject {
+		nav.Obj().Set("userAgent", script.String(ua))
+	}
 }
 
 // RunScript executes one script in the realm. scriptURL is "" for
@@ -150,7 +171,7 @@ func nat(name string, fn func(in *script.Interp, this script.Value, args []scrip
 }
 
 // hostRealm recovers the realm a native is executing in. Surface
-// natives are shared across realms (they live in the cloned snapshot),
+// natives are shared across realms (they live in the frozen snapshot),
 // so per-realm state — policy document, recorder, handlers — must come
 // from the interpreter, not from captured variables.
 func hostRealm(in *script.Interp) *Realm { return in.Host.(*Realm) }
@@ -192,7 +213,7 @@ var (
 
 func surfaceSnapshot() *script.GlobalSnapshot {
 	surfaceOnce.Do(func() {
-		tmpl := script.NewInterp()
+		tmpl := script.NewTemplateInterp()
 		installSurface(tmpl)
 		surfaceSnap = tmpl.SnapshotGlobals()
 	})
@@ -200,12 +221,10 @@ func surfaceSnapshot() *script.GlobalSnapshot {
 }
 
 // patchRealmState overwrites the per-realm bindings the template cannot
-// know: the frame's location, secure-context bit, and UA string.
+// know: the frame's location and secure-context bit. The UA string is
+// SetBrowser's.
 func (r *Realm) patchRealmState() {
 	g := r.In.Global
-	if nav, ok := g.Get("navigator"); ok && nav.Kind() == script.KindObject {
-		nav.Obj().Set("userAgent", script.String(fmt.Sprintf("Mozilla/5.0 (X11; Linux x86_64) Chrome/%d.0.0.0", r.Version)))
-	}
 	if loc, ok := g.Get("location"); ok && loc.Kind() == script.KindObject {
 		lo := loc.Obj()
 		lo.Set("href", script.String(r.FrameURL))
@@ -222,7 +241,7 @@ func (r *Realm) patchRealmState() {
 // interpreter's global scope. Everything installed here must be
 // realm-independent: natives reach their realm via hostRealm, and
 // per-realm scalars (location fields, userAgent, isSecureContext) are
-// placeholders overwritten by patchRealmState after cloning.
+// placeholders each realm overwrites in its own views after stamping.
 func installSurface(in *script.Interp) {
 	g := in.Global
 
@@ -244,7 +263,7 @@ func installSurface(in *script.Interp) {
 	installConstructors(g)
 
 	// navigator identity (the crawler disabled navigator.webdriver, C8).
-	// userAgent is per-realm (Version-dependent); patched after cloning.
+	// userAgent is per-realm (Version-dependent); set by SetBrowser.
 	nav.Set("userAgent", script.String(""))
 	nav.Set("webdriver", script.Bool(false))
 	nav.Set("language", script.String("en-US"))
@@ -700,7 +719,7 @@ var pushSubscribeV = rnat("pushManager.subscribe", func(r *Realm, _ *script.Inte
 
 // newSWRegistration builds a fresh service-worker registration. Each
 // register() call gets its own — a template-captured singleton would be
-// shared (and mutable) across every realm cloned from the snapshot.
+// a frozen object, and a realm writing to it would panic.
 func newSWRegistration() script.Value {
 	swReg := script.NewObject()
 	pushMgr := script.NewObject()

@@ -3,6 +3,8 @@ package webapi
 import (
 	"encoding/json"
 	"fmt"
+	"strings"
+	"sync"
 	"testing"
 
 	"permodyssey/internal/script"
@@ -52,7 +54,7 @@ func TestRealmIsolation(t *testing.T) {
 	}
 }
 
-// TestRealmGlobalAliasing verifies the cloner preserved intra-snapshot
+// TestRealmGlobalAliasing verifies stamping preserves intra-snapshot
 // aliasing: window, self, and globalThis are one object; location is
 // shared between window, document, and the global binding.
 func TestRealmGlobalAliasing(t *testing.T) {
@@ -210,5 +212,128 @@ func TestCompiledRealmRecordsIdentical(t *testing.T) {
 	}
 	if stats := compileCache.Stats(); stats.Misses == 0 {
 		t.Error("compile cache never compiled anything")
+	}
+}
+
+// mutationProbe writes to every corner of the shared surface a page
+// script can reach: host objects, nested namespaces, constructor
+// statics, the snapshot's promise, builtin namespaces, Object.assign in
+// both directions, and finally the global bindings themselves.
+const mutationProbe = `
+navigator.userAgent = 'evil/1.0';
+navigator.planted = 1;
+navigator.webdriver = true;
+navigator.permissions.query = function () { return 'hijacked'; };
+navigator.permissions.extra = 'x';
+location.href = 'https://evil.example/';
+location.hash = '#pwned';
+window.isSecureContext = false;
+window.planted = 'w';
+self.viaSelf = 1;
+globalThis.viaGlobalThis = 2;
+Notification.permission = 'granted';
+Notification.requestPermission = null;
+document.body.tagName = 'HIJACKED';
+document.body.planted = true;
+document.cookie = 'session=1';
+navigator.serviceWorker.ready.then(function (reg) { reg.planted = 1; reg.pushManager.planted = 2; });
+navigator.serviceWorker.ready.__state = 'rejected';
+Math.floor = function (x) { return x; };
+Math.planted = 1;
+JSON.stringify = null;
+JSON.planted = 1;
+var merged = Object.assign({}, navigator, location, document.body, Notification);
+Object.assign(navigator.mediaDevices, location, document.body);
+Object.assign(window, navigator.permissions);
+Object.assign(document, {cookie: 'c', body: null});
+window.ok = navigator.planted === 1 && navigator.permissions.query() === 'hijacked' &&
+	location.hash === '#pwned' && Notification.permission === 'granted' &&
+	document.body === null && Math.floor(1.5) === 1.5 && window.viaSelf === 1 &&
+	navigator.mediaDevices.planted === true && window.extra === 'x';
+navigator = 'shadowed';
+Object = null;
+`
+
+// surfaceFingerprint renders every global of a realm: each object's
+// class, callability and keys, recursively, plus the binding's JSON.
+func surfaceFingerprint(r *Realm) string {
+	var b strings.Builder
+	seen := map[*script.Object]bool{}
+	var walk func(v script.Value)
+	walk = func(v script.Value) {
+		switch v.Kind() {
+		case script.KindObject:
+			o := v.Obj()
+			if seen[o] {
+				fmt.Fprintf(&b, "<seen %s>", o.Class)
+				return
+			}
+			seen[o] = true
+			fmt.Fprintf(&b, "%s(call=%t){", o.Class, o.Call != nil)
+			for _, k := range o.Keys() {
+				pv, _ := o.Get(k)
+				b.WriteString(k + ":")
+				walk(pv)
+				b.WriteString(",")
+			}
+			b.WriteString("}")
+		case script.KindArray:
+			b.WriteString("[")
+			for _, e := range v.Arr().Elems {
+				walk(e)
+				b.WriteString(",")
+			}
+			b.WriteString("]")
+		default:
+			b.WriteString(v.TypeOf() + ":" + v.ToString())
+		}
+	}
+	for _, name := range surfaceSnapshot().Names() {
+		v, _ := r.In.Global.Get(name)
+		b.WriteString(name + " = ")
+		walk(v)
+		b.WriteString(" json=" + script.JSONString(v) + "\n")
+	}
+	return b.String()
+}
+
+// TestSurfaceImmutableUnderConcurrency is the immutability audit of
+// the shared surface snapshot: eight goroutines stamp realms from it
+// and run a mutation-heavy probe, tree-walked and compiled, while the
+// race detector watches the shared frozen graph. A fresh realm stamped
+// afterwards must fingerprint exactly as one stamped before.
+func TestSurfaceImmutableUnderConcurrency(t *testing.T) {
+	doc := topLevelRealm(t, "").Doc
+	before := surfaceFingerprint(NewRealm(doc, "https://example.org/"))
+	cache := script.NewCompileCache()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 25; i++ {
+				r := NewRealm(doc, "https://example.org/")
+				if (g+i)%2 == 0 {
+					r.CompileScript = cache.Compile
+				}
+				if err := r.RunScript(mutationProbe, ""); err != nil {
+					t.Errorf("goroutine %d realm %d: %v", g, i, err)
+					return
+				}
+				win, _ := r.In.Global.Get("window")
+				if ok, _ := win.Obj().Get("ok"); !ok.Truthy() {
+					t.Errorf("goroutine %d realm %d: probe did not observe its own writes", g, i)
+					return
+				}
+				if surfaceFingerprint(r) == before {
+					t.Errorf("goroutine %d realm %d: fingerprint blind to the probe's writes", g, i)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if after := surfaceFingerprint(NewRealm(doc, "https://example.org/")); after != before {
+		t.Errorf("shared surface changed under concurrent realms:\nbefore:\n%s\nafter:\n%s", before, after)
 	}
 }

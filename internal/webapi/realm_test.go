@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"permodyssey/internal/origin"
+	"permodyssey/internal/permissions"
 	"permodyssey/internal/policy"
 )
 
@@ -381,7 +382,7 @@ func TestFingerprintSurfaceThroughFeatures(t *testing.T) {
 	// An older "browser" exposes fewer features — the version
 	// fingerprint of §4.1.1.
 	r2 := topLevelRealm(t, "")
-	r2.Version = 80
+	r2.SetBrowser(permissions.Chromium, 80)
 	if err := r2.RunScript(`window.count = document.featurePolicy.features().length;`, ""); err != nil {
 		t.Fatal(err)
 	}
@@ -389,6 +390,20 @@ func TestFingerprintSurfaceThroughFeatures(t *testing.T) {
 	count2, _ := win2.Obj().Get("count")
 	if count2.Num() >= count.Num() {
 		t.Errorf("v80 surface (%v) should be smaller than v127 (%v)", count2.ToString(), count.ToString())
+	}
+	// The UA must name the version whose surface features() reports.
+	if err := r2.RunScript(`window.ua = navigator.userAgent;`, ""); err != nil {
+		t.Fatal(err)
+	}
+	if ua, _ := win2.Obj().Get("ua"); !strings.Contains(ua.ToString(), "Chrome/80.0.0.0") {
+		t.Errorf("v80 realm reports userAgent %q; want Chrome/80.0.0.0", ua.ToString())
+	}
+	r2.SetBrowser(permissions.Firefox, 120)
+	if err := r2.RunScript(`window.ua = navigator.userAgent;`, ""); err != nil {
+		t.Fatal(err)
+	}
+	if ua, _ := win2.Obj().Get("ua"); !strings.Contains(ua.ToString(), "Firefox/120.0") {
+		t.Errorf("Firefox 120 realm reports userAgent %q", ua.ToString())
 	}
 }
 
