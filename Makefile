@@ -41,9 +41,8 @@ bench:
 bench-sched:
 	./scripts/bench_sched.sh
 
-# Interpreter throughput gate: tree-walk vs compile-once script
-# execution; fails unless the compiled path is >= 2x on the loop
-# workload.
+# Interpreter allocation gate: compiled script execution benchmarks;
+# fails if any exceeds its measured allocs/op ceiling.
 bench-interp:
 	./scripts/bench_interp.sh
 

@@ -461,7 +461,7 @@ func (f *fetchCounter) Fetch(ctx context.Context, rawURL string) (*browser.Respo
 }
 
 // crawlBench crawls the default-scale population once per iteration,
-// with or without the shared fetch/parse caches, and reports how many
+// with or without the shared fetch/compile caches, and reports how many
 // HTTP fetches and script parses the crawl actually performed. Compare
 // BenchmarkCrawlCached against BenchmarkCrawlUncached: the cache
 // collapses the per-site re-fetching and re-parsing of the Zipf-popular
@@ -488,9 +488,11 @@ func crawlBench(b *testing.B, cached bool) {
 		counter := &fetchCounter{inner: browser.NewHTTPFetcher(srv.Client(0))}
 		var fetcher browser.Fetcher = counter
 		opts := browser.DefaultOptions()
+		var parseCache *script.ParseCache
 		if cached {
 			fetcher = browser.NewCachingFetcher(counter)
-			opts.ScriptCache = script.NewParseCache()
+			parseCache = script.NewParseCache()
+			opts.CompileCache = script.NewBoundedCompileCache(0, parseCache.Parse)
 		}
 		c := crawler.New(browser.New(fetcher, opts),
 			crawler.Config{Workers: 24, PerSiteTimeout: 10 * time.Second})
@@ -500,9 +502,9 @@ func crawlBench(b *testing.B, cached bool) {
 		}
 		fetches = counter.n.Load()
 		if cached {
-			ps := opts.ScriptCache.Stats()
-			parses = int64(ps.Misses)
-			scripts = int64(ps.Hits + ps.Misses + ps.Coalesced)
+			cs := opts.CompileCache.Stats()
+			parses = int64(parseCache.Stats().Misses)
+			scripts = int64(cs.Hits + cs.Misses + cs.Coalesced)
 		}
 	}
 	b.StopTimer()
@@ -522,7 +524,7 @@ func crawlBench(b *testing.B, cached bool) {
 func BenchmarkCrawlUncached(b *testing.B) { crawlBench(b, false) }
 func BenchmarkCrawlCached(b *testing.B)   { crawlBench(b, true) }
 
-// ---- Interpreter: compile-once vs tree-walk ----
+// ---- Interpreter: compiled execution ----
 
 // interpSmall is a typical short probe: config objects, a recursive
 // helper, string assembly.
@@ -535,11 +537,12 @@ for (var i = 0; i < 8; i++) { parts.push(msg.length + i); }
 var out = JSON.stringify({msg: msg, sum: parts.length});
 `
 
-// interpLoop is the interpreter-bound workload the 2x gate measures: a
-// hot loop inside a function scope, where the compiled path's
-// slot-resolved locals and pooled frames replace per-iteration map
-// lookups. This is the shape of real widget code — analytics loops,
-// array scans — where tree-walking is slowest.
+// interpLoop is the interpreter-bound workload: a hot loop inside a
+// function scope, where slot-resolved locals and pooled frames keep
+// each iteration allocation-free. This is the shape of real widget
+// code — analytics loops, array scans. Its allocs/op ceiling in
+// scripts/bench_interp.sh fails loudly on any return to per-iteration
+// scope allocation.
 const interpLoop = `
 var total = (function () {
 	var sum = 0;
@@ -579,11 +582,11 @@ for (var round = 0; round < 40; round++) {
 var summary = JSON.stringify({g: state.granted.length, d: state.denied.length, e: state.errors});
 `
 
-// interpBench executes one pre-parsed (and, for the compiled variant,
-// pre-lowered) script per iteration on a fresh interpreter — the
-// per-frame execution pattern of a crawl, where the program is shared
-// via the caches and only execution state is per-realm.
-func interpBench(b *testing.B, src string, compiled bool) {
+// interpBench executes one pre-compiled script per iteration on a
+// fresh interpreter — the per-frame execution pattern of a crawl, where
+// the program is shared via the compile cache and only execution state
+// is per-realm.
+func interpBench(b *testing.B, src string) {
 	prog, err := script.Parse(src)
 	if err != nil {
 		b.Fatal(err)
@@ -595,24 +598,15 @@ func interpBench(b *testing.B, src string, compiled bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		in := script.NewInterp()
-		if compiled {
-			err = in.RunCompiled(cp, "https://cdn.example/w.js")
-		} else {
-			err = in.RunProgram(prog, "https://cdn.example/w.js")
-		}
-		if err != nil {
+		if err := script.NewInterp().RunCompiled(cp, "https://cdn.example/w.js"); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkInterpretSmallTree(b *testing.B)      { interpBench(b, interpSmall, false) }
-func BenchmarkInterpretSmallCompiled(b *testing.B)  { interpBench(b, interpSmall, true) }
-func BenchmarkInterpretLoopTree(b *testing.B)       { interpBench(b, interpLoop, false) }
-func BenchmarkInterpretLoopCompiled(b *testing.B)   { interpBench(b, interpLoop, true) }
-func BenchmarkInterpretWidgetTree(b *testing.B)     { interpBench(b, interpWidget, false) }
-func BenchmarkInterpretWidgetCompiled(b *testing.B) { interpBench(b, interpWidget, true) }
+func BenchmarkInterpretSmallCompiled(b *testing.B)  { interpBench(b, interpSmall) }
+func BenchmarkInterpretLoopCompiled(b *testing.B)   { interpBench(b, interpLoop) }
+func BenchmarkInterpretWidgetCompiled(b *testing.B) { interpBench(b, interpWidget) }
 
 // ---- DOM: parse throughput, cache warm-up, extraction walks ----
 

@@ -2,6 +2,9 @@ package core
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"strings"
 	"testing"
 	"time"
 
@@ -9,11 +12,28 @@ import (
 	"permodyssey/internal/synthweb"
 )
 
-// TestCrawlCompileEquivalence proves the compile-once script path is
+// Digests of the normalized records and the analysis report of the
+// crawl below, recorded from the original tree-walking interpreter
+// before the compiled engine became the only one. They anchor the
+// crawl to that engine's observations, not just to another run of the
+// current code.
+const (
+	goldenCompileRecordsSHA = "e75b7e0b33f8ba3185b12fc342259a46582b9c68915820d2ea6add4de8737f08"
+	goldenCompileReportSHA  = "7fc37e87e54470b456b2d61978229230bea695ffd017a34e1aa6d5ae597b7c5b"
+)
+
+func sha256Hex(s string) string {
+	sum := sha256.Sum256([]byte(s))
+	return hex.EncodeToString(sum[:])
+}
+
+// TestCrawlCompileEquivalence proves the shared compile cache is
 // observationally transparent through the full measurement stack, under
-// a chaos-seeded population: the compiled and tree-walking crawls must
-// produce byte-identical records (after wall-clock normalization) and
-// byte-identical analysis reports.
+// a chaos-seeded population: a crawl whose realms each parse and compile
+// their own scripts and one sharing compiled programs across realms
+// must produce byte-identical records (after wall-clock normalization)
+// and byte-identical analysis reports, and both must match the digests
+// recorded from the tree-walking interpreter.
 func TestCrawlCompileEquivalence(t *testing.T) {
 	const sites = 120
 	opts := chaosSoakOptions(sites)
@@ -52,31 +72,37 @@ func TestCrawlCompileEquivalence(t *testing.T) {
 		return recs, m.Report(), m.Stats
 	}
 
-	treeRecs, treeReport, treeStats := run(true)
-	compRecs, compReport, compStats := run(false)
+	offRecs, offReport, offStats := run(true)
+	onRecs, onReport, onStats := run(false)
 
-	for i := range treeRecs {
-		if treeRecs[i] != compRecs[i] {
-			t.Errorf("record %d differs with compilation on:\ntree:     %s\ncompiled: %s",
-				i, treeRecs[i], compRecs[i])
+	for i := range offRecs {
+		if offRecs[i] != onRecs[i] {
+			t.Errorf("record %d differs with the compile cache on:\noff: %s\non:  %s",
+				i, offRecs[i], onRecs[i])
 		}
 	}
-	if treeReport != compReport {
-		t.Error("analysis reports differ between compiled and tree-walk crawls")
+	if offReport != onReport {
+		t.Error("analysis reports differ with the compile cache on")
 	}
-	// The compiled run must actually have compiled — and shared: far
+	if got := sha256Hex(strings.Join(offRecs, "\n")); got != goldenCompileRecordsSHA {
+		t.Errorf("records digest %s, golden %s", got, goldenCompileRecordsSHA)
+	}
+	if got := sha256Hex(offReport); got != goldenCompileReportSHA {
+		t.Errorf("report digest %s, golden %s", got, goldenCompileReportSHA)
+	}
+	// The cached run must actually have compiled — and shared: far
 	// fewer compiles than executions (every site embeds shared widgets).
-	if compStats.Compile.Misses == 0 {
-		t.Fatal("compiled run never compiled a script")
+	if onStats.Compile.Misses == 0 {
+		t.Fatal("cached run never compiled a script")
 	}
-	if compStats.Compile.Hits == 0 {
-		t.Error("compiled run never shared a compiled program across frames")
+	if onStats.Compile.Hits == 0 {
+		t.Error("cached run never shared a compiled program across frames")
 	}
-	if treeStats.Compile.Misses != 0 || treeStats.Compile.Hits != 0 {
-		t.Errorf("DisableCompile run still touched the compile cache: %+v", treeStats.Compile)
+	if offStats.Compile.Misses != 0 || offStats.Compile.Hits != 0 {
+		t.Errorf("DisableCompile run still touched the compile cache: %+v", offStats.Compile)
 	}
 	// The layered design keeps parse stats live under compilation.
-	if compStats.Parse.Misses == 0 {
+	if onStats.Parse.Misses == 0 {
 		t.Error("compile cache bypassed the parse cache")
 	}
 }

@@ -36,19 +36,17 @@ type MeasurementOptions struct {
 	// StallTime is how long timeout-class sites hang (must exceed the
 	// crawl deadline to be classified as timeouts).
 	StallTime time.Duration
-	// DisableCache turns off the shared fetch, script-parse, and
-	// static-findings caches. They are on by default: per-site documents
-	// bypass the fetch cache (each site is visited once), while
-	// cross-origin widget documents and CDN scripts — fetched for
-	// thousands of sites — are served from it, each distinct script body
-	// is parsed once per crawl, and its pattern scan runs once per crawl.
-	// Caching is observationally transparent (TestCrawlDeterminism).
+	// DisableCache turns off every shared cache: fetch, script compile
+	// (with its parse layer), static findings and DOM. They are on by
+	// default: per-site documents bypass the fetch cache (each site is
+	// visited once), while cross-origin widget documents and CDN
+	// scripts — fetched for thousands of sites — are served from it,
+	// each distinct script body is parsed and compiled once per crawl,
+	// and its pattern scan runs once per crawl. Caching is
+	// observationally transparent (TestCrawlDeterminism).
 	DisableCache bool
-	// DisableCompile turns off the compile-once script path: realms fall
-	// back to executing parsed ASTs directly. Compilation is on by
-	// default when caching is enabled — each distinct script body is
-	// lowered once per crawl and every realm runs the shared compiled
-	// program through pooled scope frames. Observationally transparent
+	// DisableCompile turns off the shared compile cache: each realm
+	// parses and compiles its own scripts. Observationally transparent
 	// (TestCrawlCompileEquivalence).
 	DisableCompile bool
 	// DisableDOMCache turns off the shared parsed-document (DOM) cache:
@@ -285,13 +283,12 @@ func newCrawlStack(srv *synthweb.Server, opts MeasurementOptions) (*crawlStack, 
 			st.cache.Disk = ar
 		}
 		fetcher = st.cache
-		st.scriptCache = script.NewBoundedParseCache(opts.CacheEntries)
 		st.staticCache = static.NewCache(nil, opts.CacheEntries)
-		opts.BrowserOpts.ScriptCache = st.scriptCache
 		opts.BrowserOpts.StaticCache = st.staticCache
 		if !opts.DisableCompile {
-			// Layered over the parse cache: a compile miss parses through
-			// it, so parse counters stay live under compilation.
+			// The parse cache is the compile cache's parse layer: a
+			// compile miss parses through it, so parse counters stay live.
+			st.scriptCache = script.NewBoundedParseCache(opts.CacheEntries)
 			st.compileCache = script.NewBoundedCompileCache(opts.CacheEntries, st.scriptCache.Parse)
 			opts.BrowserOpts.CompileCache = st.compileCache
 		}
@@ -321,10 +318,10 @@ func (st *crawlStack) stats() CrawlStats {
 	s := CrawlStats{Shard: st.shard, Shards: st.shards, Crawl: st.crawler.Stats()}
 	if st.cache != nil {
 		s.Fetch = st.cache.Stats()
-		s.Parse = st.scriptCache.Stats()
 		s.Static = st.staticCache.Stats()
 	}
 	if st.compileCache != nil {
+		s.Parse = st.scriptCache.Stats()
 		s.Compile = st.compileCache.Stats()
 	}
 	if st.domCache != nil {

@@ -2,9 +2,12 @@ package crawler
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"io"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -143,7 +146,7 @@ func TestCrawlDeterminism(t *testing.T) {
 		opts := browser.DefaultOptions()
 		if cached {
 			fetcher = browser.NewCachingFetcher(fetcher)
-			opts.ScriptCache = script.NewParseCache()
+			opts.CompileCache = script.NewBoundedCompileCache(0, script.NewParseCache().Parse)
 		}
 		b := browser.New(fetcher, opts)
 		c := New(b, Config{Workers: 8, PerSiteTimeout: 5 * time.Second})
@@ -170,26 +173,31 @@ func TestCrawlDeterminism(t *testing.T) {
 	}
 }
 
-// TestCrawlCompileEquivalence proves the compiled script path is
+// Digest of the normalized records of the crawl below, recorded from
+// the original tree-walking interpreter before the compiled engine
+// became the only one.
+const goldenCompileRecordsSHA = "cab95eaf1cd59d4d3171ee535b364a2381c6bdc68619e03c114c82d2854a98ab"
+
+// TestCrawlCompileEquivalence proves the shared compile cache is
 // observationally transparent at crawl scale: a crawl executing every
 // script through cached compiled programs produces record-for-record
-// the same dataset as the tree-walking interpreter.
+// the same dataset as one whose realms compile their own scripts, and
+// both match the digest recorded from the tree-walking interpreter.
 func TestCrawlCompileEquivalence(t *testing.T) {
 	cfg := synthweb.DefaultConfig()
 	cfg.NumSites = 40
 	cfg.Seed = 23
 	cfg.UnreachableRate, cfg.TimeoutRate, cfg.EphemeralRate, cfg.MinorRate = 0, 0, 0, 0
 
-	run := func(compiled bool) []string {
+	run := func(cached bool) []string {
 		srv := synthweb.NewServer(cfg)
 		if err := srv.Start(); err != nil {
 			t.Fatal(err)
 		}
 		defer srv.Close()
 		opts := browser.DefaultOptions()
-		opts.ScriptCache = script.NewParseCache()
-		if compiled {
-			opts.CompileCache = script.NewBoundedCompileCache(0, opts.ScriptCache.Parse)
+		if cached {
+			opts.CompileCache = script.NewBoundedCompileCache(0, script.NewParseCache().Parse)
 		}
 		b := browser.New(browser.NewHTTPFetcher(srv.Client(0)), opts)
 		c := New(b, Config{Workers: 8, PerSiteTimeout: 5 * time.Second})
@@ -203,11 +211,15 @@ func TestCrawlCompileEquivalence(t *testing.T) {
 		}
 		return normalizeRecords(t, ds)
 	}
-	tree, comp := run(false), run(true)
-	for i := range tree {
-		if tree[i] != comp[i] {
-			t.Errorf("record %d differs with compilation on:\ntree:     %s\ncompiled: %s",
-				i, tree[i], comp[i])
+	off, on := run(false), run(true)
+	for i := range off {
+		if off[i] != on[i] {
+			t.Errorf("record %d differs with the compile cache on:\noff: %s\non:  %s",
+				i, off[i], on[i])
 		}
+	}
+	sum := sha256.Sum256([]byte(strings.Join(off, "\n")))
+	if got := hex.EncodeToString(sum[:]); got != goldenCompileRecordsSHA {
+		t.Errorf("records digest %s, golden %s", got, goldenCompileRecordsSHA)
 	}
 }

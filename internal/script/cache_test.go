@@ -66,7 +66,12 @@ func TestParseCacheConcurrent(t *testing.T) {
 			progs[i] = p
 			// Execute the shared program in a private interpreter, the
 			// way concurrent crawl workers share one parsed widget script.
-			if err := NewInterp().RunProgram(p, "https://cdn.example/lib.js"); err != nil {
+			cp, err := Compile(p)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if err := NewInterp().RunCompiled(cp, "https://cdn.example/lib.js"); err != nil {
 				t.Error(err)
 			}
 		}(i)

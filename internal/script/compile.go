@@ -14,8 +14,8 @@ import "errors"
 // is pushed if and only if the corresponding construct allocates a
 // frame at runtime. Blocks that declare nothing push neither, so hop
 // counts stay in sync. A frame slot left at the kindUnset sentinel does
-// not bind its name yet, which preserves the tree-walker's "no binding
-// until the declaration executes" semantics for hoisted slots.
+// not bind its name yet: a hoisted name has no binding until its
+// declaration executes.
 
 type execFn func(in *Interp, env *Env) error
 type evalFn func(in *Interp, env *Env) (Value, error)
@@ -36,9 +36,9 @@ type hoistedDecl struct {
 }
 
 // compiledFunc is the compiled form of a function body. The activation
-// record merges the tree-walker's call env and body-block env into one
-// frame: slot 0 is `this`, then parameters, an `arguments` slot only if
-// the body mentions that identifier, then body-level declarations.
+// record holds the call scope and the body block in one frame: slot 0
+// is `this`, then parameters, an `arguments` slot only if the body
+// mentions that identifier, then body-level declarations.
 type compiledFunc struct {
 	name       string
 	params     []string
@@ -98,8 +98,9 @@ func Compile(prog *Program) (*Compiled, error) {
 	return out, nil
 }
 
-// RunCompiled executes a compiled program against the global scope,
-// exactly as RunProgram executes its AST.
+// RunCompiled executes a compiled program against the global scope:
+// top-level function declarations are hoisted first, then the
+// statements run in order.
 func (in *Interp) RunCompiled(p *Compiled, scriptURL string) error {
 	in.steps = 0
 	in.stack = append(in.stack, frame{fnName: "<script>", scriptURL: scriptURL})
@@ -222,8 +223,8 @@ func newLayout(names []string, poolable bool) *frameLayout {
 	return fl
 }
 
-// declNames collects the names tree-walk execution would Define into
-// the scope owning stmts: direct VarDecl/FuncDecl children, recursing
+// declNames collects the names execution Defines into the scope owning
+// stmts: direct VarDecl/FuncDecl children, recursing
 // through constructs that execute sub-statements in the SAME env
 // (SeqStmt, if branches, while/do-while bodies) and stopping at
 // constructs that open their own scope (blocks, for, switch, try,

@@ -7,8 +7,8 @@ import (
 
 // Expression lowering with constant folding: Binary/Logical/Cond (and
 // pure Unary) over literal operands collapse at compile time via the
-// same applyBinary/applyUnary the tree-walker uses, so folding can
-// never change semantics. Object and array literals never fold — each
+// same applyBinary/applyUnary the runtime uses, so folding can never
+// change semantics. Object and array literals never fold — each
 // evaluation must produce a fresh mutable value.
 
 func (c *compiler) compileExpr(n Node) (cexpr, error) {
@@ -251,8 +251,8 @@ func logicalShortCircuits(op string, x Value) bool {
 
 // compileIdent resolves a variable read. A resolved slot still falls
 // back to the dynamic chain while unset: a hoisted declaration does not
-// bind its name until it executes, and the tree-walker would find an
-// outer binding (or nothing) in the meantime.
+// bind its name until it executes, so a read in the meantime finds an
+// outer binding (or nothing).
 func (c *compiler) compileIdent(name string, line int) cexpr {
 	if hops, slot, ok := c.resolve(name); ok {
 		return cexpr{fn: func(in *Interp, env *Env) (Value, error) {

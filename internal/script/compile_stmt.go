@@ -46,8 +46,8 @@ func (c *compiler) compileStmt(n Node) (execFn, error) {
 		// The declaring scope is the innermost frame, when one exists and
 		// laid the name out (a var nested under if/while belongs to an
 		// enclosing block whose layout includes it; a var whose block
-		// pushed no frame spills through dynamic Define, matching the
-		// tree-walker's map scopes).
+		// pushed no frame is defined dynamically in the current runtime
+		// scope).
 		if len(c.scopes) > 0 {
 			if slot, ok := c.scopes[len(c.scopes)-1].slotOf[name]; ok {
 				return func(in *Interp, env *Env) error {
@@ -295,8 +295,7 @@ func runAll(in *Interp, env *Env, fns []execFn) error {
 	return nil
 }
 
-// runLoopBody translates continue into normal completion, like
-// execLoopBody does for the tree-walker.
+// runLoopBody translates continue into normal completion.
 func runLoopBody(in *Interp, env *Env, body execFn) error {
 	err := body(in, env)
 	if _, cont := err.(continueSignal); cont {
@@ -308,8 +307,8 @@ func runLoopBody(in *Interp, env *Env, body execFn) error {
 func (c *compiler) compileBlock(b *BlockStmt) (execFn, error) {
 	decls := declNames(b.Body)
 	if len(decls) == 0 {
-		// No bindings can land here: skip the frame entirely. The
-		// tree-walker's empty map env is observationally inert.
+		// No bindings can land here: skip the frame entirely, since an
+		// empty scope is observationally inert.
 		fns, err := c.compileStmts(b.Body)
 		if err != nil {
 			return nil, err
@@ -547,7 +546,7 @@ func (c *compiler) compileTry(s *TryStmt) (execFn, error) {
 	if s.Catch != nil {
 		if s.CatchVar != "" {
 			// The catch variable lives in its own one-slot scope wrapping
-			// the catch block, exactly like the tree-walker's extra env.
+			// the catch block.
 			catchFl = newLayout([]string{s.CatchVar}, poolableScope(s.Catch.Body))
 			c.push(catchFl)
 		}

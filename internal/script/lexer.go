@@ -1,7 +1,9 @@
 // Package script implements a small JavaScript-subset engine: lexer,
-// parser and tree-walking interpreter. It exists so the mini browser can
-// actually *execute* the scripts served by the synthetic web and record
-// permission-related API invocations through instrumented host objects —
+// parser, and a compiler that lowers each program to a tree of Go
+// closures, the only way scripts execute. It exists so the mini
+// browser can actually *execute* the scripts served by the synthetic
+// web and record permission-related API invocations through
+// instrumented host objects —
 // the same mechanism as the paper's Figure 1, where the original
 // function is wrapped to log the call, stack trace and arguments before
 // delegating to the real implementation.

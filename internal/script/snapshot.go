@@ -43,7 +43,7 @@ type realmViews struct {
 // NewBareInterp creates an interpreter with an empty global scope — no
 // builtins. Pair with InstallSnapshot to stamp a prebuilt surface.
 func NewBareInterp() *Interp {
-	return &Interp{Global: NewEnv(nil), MaxSteps: 200000, rng: 0x9E3779B97F4A7C15}
+	return &Interp{Global: newGlobalEnv(), MaxSteps: 200000, rng: 0x9E3779B97F4A7C15}
 }
 
 // NewTemplateInterp creates an interpreter with the standard builtins

@@ -69,7 +69,7 @@ func unshared() *Interp {
 }
 
 // observe runs src with an out(...) native and returns what it logged,
-// tree-walked and compiled.
+// either through Interp.Run or as a separately compiled program.
 func observe(t *testing.T, in *Interp, src string, compiled bool) []string {
 	t.Helper()
 	var log []string
@@ -98,7 +98,7 @@ func observe(t *testing.T, in *Interp, src string, compiled bool) []string {
 }
 
 func eachMode(t *testing.T, fn func(t *testing.T, compiled bool)) {
-	t.Run("tree", func(t *testing.T) { fn(t, false) })
+	t.Run("run", func(t *testing.T) { fn(t, false) })
 	t.Run("compiled", func(t *testing.T) { fn(t, true) })
 }
 

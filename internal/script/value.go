@@ -73,18 +73,16 @@ type Array struct {
 
 // Closure is a user-defined function.
 type Closure struct {
-	Name     string
-	Params   []string
-	Body     *BlockStmt
-	ExprBody Node
-	Env      *Env
+	Name   string
+	Params []string
+	Env    *Env
 	// ScriptURL is the URL of the script that defined the function; it
 	// feeds stack-trace attribution (§4.1.1: "the stacktrace enables us
 	// to determine the origin of a call").
 	ScriptURL string
 	Line      int
-	// compiled, when set, is the pre-lowered body: calls run through
-	// pooled frames and slot-resolved closures instead of the AST walk.
+	// compiled is the lowered body: calls run through pooled frames and
+	// slot-resolved closures.
 	compiled *compiledFunc
 }
 

@@ -31,13 +31,10 @@ type Realm struct {
 	// with SetBrowser, which keeps navigator.userAgent in step.
 	Browser permissions.Browser
 	Version int
-	// ParseScript, when non-nil, replaces script.Parse — the crawl
-	// installs a shared ParseCache here so each distinct script body is
-	// parsed once per crawl instead of once per including frame.
-	ParseScript func(src string) (*script.Program, error)
-	// CompileScript, when non-nil, supplies pre-lowered programs
-	// (typically CompileCache.Compile) and takes precedence over
-	// ParseScript: scripts run through the compiled fast path.
+	// CompileScript, when non-nil, supplies compiled programs — the
+	// crawl installs a shared CompileCache here so each distinct script
+	// body is parsed and compiled once per crawl instead of once per
+	// including frame. When nil, each script compiles on its own.
 	CompileScript func(src string) (*script.Compiled, error)
 
 	handlers map[string][]script.Value
@@ -91,13 +88,6 @@ func (r *Realm) RunScript(src, scriptURL string) error {
 			return err
 		}
 		return r.In.RunCompiled(prog, scriptURL)
-	}
-	if r.ParseScript != nil {
-		prog, err := r.ParseScript(src)
-		if err != nil {
-			return err
-		}
-		return r.In.RunProgram(prog, scriptURL)
 	}
 	return r.In.Run(src, scriptURL)
 }

@@ -146,8 +146,9 @@ func TestServiceWorkerRegistrationsIndependent(t *testing.T) {
 }
 
 // probeCorpus exercises the instrumented surface broadly — promise
-// chains, callbacks, constructors, errors, handlers — so the compiled
-// and tree-walk paths are compared over realistic probe scripts.
+// chains, callbacks, constructors, errors, handlers — so realms with
+// and without a shared compile cache are compared over realistic probe
+// scripts.
 var probeCorpus = []string{
 	`navigator.permissions.query({name: 'camera'}).then(function (s) { window.state = s.state; });`,
 	`navigator.mediaDevices.getUserMedia({audio: true, video: true}).catch(function () {});`,
@@ -175,39 +176,40 @@ var probeCorpus = []string{
 	 new PaymentRequest([], {}).canMakePayment();`,
 }
 
-// TestCompiledRealmRecordsIdentical runs every probe through a
-// tree-walking realm and a compiling realm and requires byte-identical
-// recorded invocations — the zero-behavioral-diff acceptance gate.
+// TestCompiledRealmRecordsIdentical runs every probe through a realm
+// that compiles its own scripts and one sharing a compile cache, and
+// requires byte-identical recorded invocations: sharing compiled
+// programs across realms must leak no state between them.
 func TestCompiledRealmRecordsIdentical(t *testing.T) {
 	compileCache := script.NewCompileCache()
 	for i, src := range probeCorpus {
-		tree := topLevelRealm(t, "camera=(), geolocation=self")
-		compiled := topLevelRealm(t, "camera=(), geolocation=self")
-		compiled.CompileScript = compileCache.Compile
+		own := topLevelRealm(t, "camera=(), geolocation=self")
+		shared := topLevelRealm(t, "camera=(), geolocation=self")
+		shared.CompileScript = compileCache.Compile
 
 		url := fmt.Sprintf("https://cdn.example/probe%d.js", i)
-		errTree := tree.RunScript(src, url)
-		errCompiled := compiled.RunScript(src, url)
-		if (errTree == nil) != (errCompiled == nil) {
-			t.Fatalf("probe %d: error mismatch: tree=%v compiled=%v", i, errTree, errCompiled)
+		errOwn := own.RunScript(src, url)
+		errShared := shared.RunScript(src, url)
+		if (errOwn == nil) != (errShared == nil) {
+			t.Fatalf("probe %d: error mismatch: own=%v shared=%v", i, errOwn, errShared)
 		}
-		if err := tree.FireEvent("click"); err != nil {
+		if err := own.FireEvent("click"); err != nil {
 			t.Fatalf("probe %d: %v", i, err)
 		}
-		if err := compiled.FireEvent("click"); err != nil {
+		if err := shared.FireEvent("click"); err != nil {
 			t.Fatalf("probe %d: %v", i, err)
 		}
 
-		want, err := json.Marshal(tree.Rec.Invocations)
+		want, err := json.Marshal(own.Rec.Invocations)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := json.Marshal(compiled.Rec.Invocations)
+		got, err := json.Marshal(shared.Rec.Invocations)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if string(want) != string(got) {
-			t.Errorf("probe %d: recorded invocations differ\ntree:     %s\ncompiled: %s", i, want, got)
+			t.Errorf("probe %d: recorded invocations differ\nown:    %s\nshared: %s", i, want, got)
 		}
 	}
 	if stats := compileCache.Stats(); stats.Misses == 0 {
@@ -299,9 +301,10 @@ func surfaceFingerprint(r *Realm) string {
 
 // TestSurfaceImmutableUnderConcurrency is the immutability audit of
 // the shared surface snapshot: eight goroutines stamp realms from it
-// and run a mutation-heavy probe, tree-walked and compiled, while the
-// race detector watches the shared frozen graph. A fresh realm stamped
-// afterwards must fingerprint exactly as one stamped before.
+// and run a mutation-heavy probe, with and without a shared compile
+// cache, while the race detector watches the shared frozen graph. A
+// fresh realm stamped afterwards must fingerprint exactly as one
+// stamped before.
 func TestSurfaceImmutableUnderConcurrency(t *testing.T) {
 	doc := topLevelRealm(t, "").Doc
 	before := surfaceFingerprint(NewRealm(doc, "https://example.org/"))
