@@ -659,8 +659,7 @@ func parseBenchCold(b *testing.B, docs []string) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pd := html.ParseDoc(docs[i%len(docs)])
-		pd.Release()
+		html.ParseDoc(docs[i%len(docs)])
 	}
 }
 
@@ -671,14 +670,13 @@ func parseBenchWarm(b *testing.B, docs []string) {
 	var bytes int64
 	for _, d := range docs {
 		bytes += int64(len(d))
-		c.Parse(d).Release()
+		c.Parse(d)
 	}
 	b.SetBytes(bytes / int64(len(docs)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pd := c.Parse(docs[i%len(docs)])
-		pd.Release()
+		c.Parse(docs[i%len(docs)])
 	}
 }
 
@@ -709,8 +707,7 @@ func BenchmarkParseHTMLZipfCold(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pd := html.ParseDoc(docs[seq[i%len(seq)]])
-		pd.Release()
+		html.ParseDoc(docs[seq[i%len(seq)]])
 	}
 }
 
@@ -718,13 +715,12 @@ func BenchmarkParseHTMLZipfWarm(b *testing.B) {
 	docs, seq := zipfSequence(4096)
 	c := html.NewParseCache(0, 0)
 	for _, d := range docs {
-		c.Parse(d).Release()
+		c.Parse(d)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pd := c.Parse(docs[seq[i%len(seq)]])
-		pd.Release()
+		c.Parse(docs[seq[i%len(seq)]])
 	}
 }
 
@@ -750,7 +746,6 @@ func BenchmarkExtractSingleWalk(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		pd := html.ParseDoc(docs[i%len(docs)])
 		_, _, _ = pd.Iframes, pd.Scripts, pd.Links
-		pd.Release()
 	}
 }
 

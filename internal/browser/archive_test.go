@@ -172,22 +172,22 @@ func TestOfflineFailureReplaySurfaces(t *testing.T) {
 }
 
 // TestReplacedEntryReleasesInternedBody pins the release bookkeeping
-// of the cache's replace branch: when Add overwrites an entry (the
-// lru.Cache.Add replace path), the old entry's interned body must lose
-// its reference, or identical re-stores would leak bodies forever.
-// This drives the exact sequence Fetch's insert path runs.
+// of the cache's replace branch: when AddWithSize overwrites an entry,
+// the old entry's interned body must lose its reference, or identical
+// re-stores would leak bodies forever. This drives the exact sequence
+// Fetch's insert path runs.
 func TestReplacedEntryReleasesInternedBody(t *testing.T) {
 	c := NewCachingFetcher(&countingFetcher{})
 	insert := func(url, body string) {
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		stored, sum := c.internLocked(body)
-		old, replaced, _, ev, evicted := c.entries.Add(url, cacheEntry{resp: &Response{Body: stored}, sum: sum})
+		old, replaced, evs := c.entries.AddWithSize(url, cacheEntry{resp: &Response{Body: stored}, sum: sum}, int64(len(stored)))
 		if replaced {
 			c.releaseLocked(old.sum)
 		}
-		if evicted {
-			c.releaseLocked(ev.sum)
+		for _, ev := range evs {
+			c.releaseLocked(ev.Value.sum)
 		}
 	}
 	insert("https://x.test/", "first body")

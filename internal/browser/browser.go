@@ -34,27 +34,26 @@ type Options struct {
 	Interact bool
 	// ScriptCache is not read by the browser.
 	//
-	// Deprecated: scripts are parsed through CompileCache; layer it over
-	// a ParseCache (script.NewBoundedCompileCache(n, pc.Parse)) to share
-	// parses. The field is kept because the perfbench harness, built
-	// against this package from its own module, still sets it.
+	// Deprecated: scripts are parsed and compiled through CompileCache,
+	// which memoizes both steps. The field is kept because the perfbench
+	// harness, built against this package from its own module, still
+	// sets it.
 	ScriptCache *script.ParseCache
 	// CompileCache, when non-nil, memoizes script parsing and
 	// compilation across every realm this browser creates, so a shared
 	// third-party script body is compiled once per crawl rather than once
-	// per including frame. Layer it over a ParseCache so parse stats stay
-	// live. When nil, each realm compiles its own scripts.
+	// per including frame. When nil, each realm compiles its own scripts.
 	CompileCache *script.CompileCache
 	// StaticCache, when non-nil, memoizes the static analyzer's pattern
 	// scan by script content, so identical widget scripts are scanned
 	// once per crawl instead of once per including frame.
 	StaticCache *static.Cache
 	// DocCache, when non-nil, memoizes HTML parsing by document content:
-	// a body fetched for N frames across the crawl is tokenized and
-	// built once, and every frame shares the immutable parsed document
-	// (tree plus the single-walk iframe/script/link extractions). When
-	// nil, each document still parses through the arena-backed
-	// ParseDoc fast path, just without cross-frame sharing.
+	// a body fetched for N frames across the crawl is tokenized once,
+	// and every frame shares the immutable single-walk iframe/script/
+	// link extractions. When nil, each document still parses through
+	// the arena-backed ParseDoc fast path, just without cross-frame
+	// sharing.
 	DocCache *html.ParseCache
 }
 
@@ -254,17 +253,15 @@ func (b *Browser) declaredPolicy(fr *FrameResult) policy.Policy {
 func (b *Browser) processDocument(ctx context.Context, result *PageResult, slot int,
 	fr *FrameResult, doc *policy.Document, body string) {
 	// One parse per document content: the cache shares the immutable
-	// parsed document across every frame (and every site) embedding the
-	// same body; without it the arena-backed parse is still single-walk
-	// and recycled on release. The browser only reads the extractions —
-	// the shared tree must never be mutated.
+	// extractions across every frame (and every site) embedding the
+	// same body; without it the arena-backed parse is still single-walk.
+	// The shared document must never be mutated.
 	var pd *html.ParsedDoc
 	if b.Opts.DocCache != nil {
 		pd = b.Opts.DocCache.Parse(body)
 	} else {
 		pd = html.ParseDoc(body)
 	}
-	defer pd.Release()
 	if fr.TopLevel {
 		for _, href := range pd.Links {
 			if resolved := resolveURL(fr.FinalURL, href); resolved != "" {

@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"permodyssey/internal/analysis"
-	"permodyssey/internal/html"
+	"permodyssey/internal/lru"
 	"permodyssey/internal/synthweb"
 )
 
@@ -74,7 +74,7 @@ func TestCrawlDOMCacheEquivalence(t *testing.T) {
 	if cachedStats.DOM.Hits == 0 {
 		t.Error("cached run never shared a parsed document across fetches")
 	}
-	if plainStats.DOM != (html.ParseStats{}) {
+	if plainStats.DOM != (lru.Stats{}) {
 		t.Errorf("DisableDOMCache run still touched the DOM cache: %+v", plainStats.DOM)
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"permodyssey/internal/crawler"
 	"permodyssey/internal/diskcache"
 	"permodyssey/internal/html"
+	"permodyssey/internal/lru"
 	"permodyssey/internal/script"
 	"permodyssey/internal/static"
 	"permodyssey/internal/store"
@@ -36,14 +37,14 @@ type MeasurementOptions struct {
 	// StallTime is how long timeout-class sites hang (must exceed the
 	// crawl deadline to be classified as timeouts).
 	StallTime time.Duration
-	// DisableCache turns off every shared cache: fetch, script compile
-	// (with its parse layer), static findings and DOM. They are on by
-	// default: per-site documents bypass the fetch cache (each site is
-	// visited once), while cross-origin widget documents and CDN
-	// scripts — fetched for thousands of sites — are served from it,
-	// each distinct script body is parsed and compiled once per crawl,
-	// and its pattern scan runs once per crawl. Caching is
-	// observationally transparent (TestCrawlDeterminism).
+	// DisableCache turns off every shared cache: fetch, script compile,
+	// static findings and DOM. They are on by default: per-site
+	// documents bypass the fetch cache (each site is visited once),
+	// while cross-origin widget documents and CDN scripts — fetched for
+	// thousands of sites — are served from it, each distinct script body
+	// is parsed and compiled once per crawl, and its pattern scan runs
+	// once per crawl. Caching is observationally transparent
+	// (TestCrawlDeterminism).
 	DisableCache bool
 	// DisableCompile turns off the shared compile cache: each realm
 	// parses and compiles its own scripts. Observationally transparent
@@ -56,7 +57,7 @@ type MeasurementOptions struct {
 	// embedded by thousands of sites tokenize once per crawl.
 	// Observationally transparent (TestCrawlDOMCacheEquivalence).
 	DisableDOMCache bool
-	// CacheEntries caps each cache (fetch responses, parsed programs,
+	// CacheEntries caps each cache (fetch responses, compiled scripts,
 	// parsed documents, static findings) at this many entries, evicted
 	// LRU. 0 = unbounded.
 	CacheEntries int
@@ -103,18 +104,21 @@ type MeasurementOptions struct {
 }
 
 // CrawlStats aggregates the observability counters of one run: what the
-// fetch cache saved, what the parse cache saved, and what the crawler
-// retried or resumed. Shard/Shards tag the counters with the rank
-// partition that produced them (0/0 outside fleet mode), so the
-// per-shard -stats-json files of a fleet crawl are self-describing.
+// fetch cache and the content-addressed compile, DOM and static caches
+// saved, and what the crawler retried or resumed. Parse stays zero in a
+// core run (the compile cache parses on its own misses); it is kept for
+// stacks that layer a script.ParseCache under the compile cache.
+// Shard/Shards tag the counters with the rank partition that produced
+// them (0/0 outside fleet mode), so the per-shard -stats-json files of
+// a fleet crawl are self-describing.
 type CrawlStats struct {
 	Shard   int `json:"shard"`
 	Shards  int `json:"shards"`
 	Fetch   browser.CacheStats
-	Parse   script.ParseStats
-	Compile script.CompileStats
-	DOM     html.ParseStats
-	Static  static.CacheStats
+	Parse   lru.Stats
+	Compile lru.Stats
+	DOM     lru.Stats
+	Static  lru.Stats
 	Crawl   crawler.Stats
 	Breaker crawler.BreakerStats
 }
@@ -189,7 +193,6 @@ type crawlStack struct {
 
 	cache        *browser.CachingFetcher
 	breaker      *crawler.BreakerFetcher
-	scriptCache  *script.ParseCache
 	compileCache *script.CompileCache
 	domCache     *html.ParseCache
 	staticCache  *static.Cache
@@ -286,16 +289,15 @@ func newCrawlStack(srv *synthweb.Server, opts MeasurementOptions) (*crawlStack, 
 		st.staticCache = static.NewCache(nil, opts.CacheEntries)
 		opts.BrowserOpts.StaticCache = st.staticCache
 		if !opts.DisableCompile {
-			// The parse cache is the compile cache's parse layer: a
-			// compile miss parses through it, so parse counters stay live.
-			st.scriptCache = script.NewBoundedParseCache(opts.CacheEntries)
-			st.compileCache = script.NewBoundedCompileCache(opts.CacheEntries, st.scriptCache.Parse)
+			// No parse layer underneath: a compile miss is always a parse
+			// miss for the same source, so one would only retain ASTs.
+			st.compileCache = script.NewBoundedCompileCache(opts.CacheEntries, nil)
 			opts.BrowserOpts.CompileCache = st.compileCache
 		}
 		if !opts.DisableDOMCache {
-			// The DOM cache mirrors the script pipeline's layering on the
-			// HTML side: one immutable parsed document per distinct body,
-			// shared by every frame that embeds it.
+			// The DOM cache is the HTML side of the compile cache: one
+			// immutable parsed document per distinct body, shared by
+			// every frame that embeds it.
 			st.domCache = html.NewParseCache(opts.CacheEntries, opts.CacheBytes)
 			opts.BrowserOpts.DocCache = st.domCache
 		}
@@ -321,7 +323,6 @@ func (st *crawlStack) stats() CrawlStats {
 		s.Static = st.staticCache.Stats()
 	}
 	if st.compileCache != nil {
-		s.Parse = st.scriptCache.Stats()
 		s.Compile = st.compileCache.Stats()
 	}
 	if st.domCache != nil {
@@ -336,20 +337,23 @@ func (st *crawlStack) stats() CrawlStats {
 // Summary renders the counters as one log-friendly line.
 func (s CrawlStats) Summary() string {
 	line := fmt.Sprintf(
-		"visited %d (resumed %d, retries %d, partial %d, panics %d); sched: %d requeued, %d deferred (%d breaker), max ready %d, max host in-flight %d; fetch cache: %d hits, %d misses, %d coalesced, %d bypassed, %d errors, %d evictions (%s), %d entries (%s, %d unique bodies, %s deduped); parse cache: %d hits, %d misses, %d coalesced, %d evictions, %d entries; static cache: %d hits, %d misses, %d evictions",
+		"visited %d (resumed %d, retries %d, partial %d, panics %d); sched: %d requeued, %d deferred (%d breaker), max ready %d, max host in-flight %d; fetch cache: %d hits, %d misses, %d coalesced, %d bypassed, %d errors, %d evictions (%s), %d entries (%s, %d unique bodies, %s deduped); static cache: %d hits, %d misses, %d coalesced, %d evictions",
 		s.Crawl.Visited, s.Crawl.Resumed, s.Crawl.Retries, s.Crawl.Partial, s.Crawl.Panics,
 		s.Crawl.Requeued, s.Crawl.Deferred, s.Crawl.BreakerDeferred,
 		s.Crawl.MaxReadyDepth, s.Crawl.MaxHostInFlight,
 		s.Fetch.Hits, s.Fetch.Misses, s.Fetch.Coalesced, s.Fetch.Bypassed,
 		s.Fetch.Errors, s.Fetch.Evictions, byteSize(s.Fetch.BytesEvicted),
 		s.Fetch.Entries, byteSize(s.Fetch.CachedBytes), s.Fetch.UniqueBodies, byteSize(s.Fetch.DedupedBytes),
-		s.Parse.Hits, s.Parse.Misses, s.Parse.Coalesced, s.Parse.Evictions, s.Parse.Entries,
-		s.Static.Hits, s.Static.Misses, s.Static.Evictions)
-	if s.Compile != (script.CompileStats{}) {
+		s.Static.Hits, s.Static.Misses, s.Static.Coalesced, s.Static.Evictions)
+	if s.Parse != (lru.Stats{}) {
+		line += fmt.Sprintf("; parse cache: %d hits, %d misses, %d coalesced, %d evictions, %d entries",
+			s.Parse.Hits, s.Parse.Misses, s.Parse.Coalesced, s.Parse.Evictions, s.Parse.Entries)
+	}
+	if s.Compile != (lru.Stats{}) {
 		line += fmt.Sprintf("; compile cache: %d hits, %d misses, %d coalesced, %d evictions, %d entries",
 			s.Compile.Hits, s.Compile.Misses, s.Compile.Coalesced, s.Compile.Evictions, s.Compile.Entries)
 	}
-	if s.DOM != (html.ParseStats{}) {
+	if s.DOM != (lru.Stats{}) {
 		line += fmt.Sprintf("; dom cache: %d hits, %d misses, %d coalesced, %d evictions, %d entries (%s)",
 			s.DOM.Hits, s.DOM.Misses, s.DOM.Coalesced, s.DOM.Evictions, s.DOM.Entries,
 			byteSize(s.DOM.CachedBytes))

@@ -146,7 +146,7 @@ func TestCrawlDeterminism(t *testing.T) {
 		opts := browser.DefaultOptions()
 		if cached {
 			fetcher = browser.NewCachingFetcher(fetcher)
-			opts.CompileCache = script.NewBoundedCompileCache(0, script.NewParseCache().Parse)
+			opts.CompileCache = script.NewCompileCache()
 		}
 		b := browser.New(fetcher, opts)
 		c := New(b, Config{Workers: 8, PerSiteTimeout: 5 * time.Second})
@@ -197,7 +197,7 @@ func TestCrawlCompileEquivalence(t *testing.T) {
 		defer srv.Close()
 		opts := browser.DefaultOptions()
 		if cached {
-			opts.CompileCache = script.NewBoundedCompileCache(0, script.NewParseCache().Parse)
+			opts.CompileCache = script.NewCompileCache()
 		}
 		b := browser.New(browser.NewHTTPFetcher(srv.Client(0)), opts)
 		c := New(b, Config{Workers: 8, PerSiteTimeout: 5 * time.Second})

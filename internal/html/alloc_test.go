@@ -15,9 +15,9 @@ func TestHotPathAllocs(t *testing.T) {
 	// Warm cache hit: one alloc (the []byte copy feeding sha256). A tree
 	// rebuild would cost dozens.
 	c := NewParseCache(0, 0)
-	c.Parse(src).Release()
+	c.Parse(src)
 	if got := testing.AllocsPerRun(500, func() {
-		c.Parse(src).Release()
+		c.Parse(src)
 	}); got > 3 {
 		t.Errorf("warm ParseCache.Parse: %.1f allocs/op, want <= 3", got)
 	}
@@ -26,7 +26,7 @@ func TestHotPathAllocs(t *testing.T) {
 	// allocations, amortized to near zero once pools warm up. Measured at
 	// 11; pin with margin. The old per-node path cost 30+.
 	if got := testing.AllocsPerRun(500, func() {
-		ParseDoc(src).Release()
+		ParseDoc(src)
 	}); got > 20 {
 		t.Errorf("cold ParseDoc: %.1f allocs/op, want <= 20", got)
 	}

@@ -30,16 +30,16 @@ var (
 	stackPool     = sync.Pool{New: func() any { s := make([]*Node, 0, 32); return &s }}
 )
 
-// arena is a bump allocator for one parsed document: nodes, attribute
-// slices, and initial child-pointer slices are carved from pooled
-// chunks instead of individual heap allocations, and the whole document
-// is returned to the pools in O(chunks) when its owner releases it.
+// arena is a bump allocator for one parse: nodes, attribute slices, and
+// initial child-pointer slices are carved from pooled chunks instead of
+// individual heap allocations, and the whole tree is returned to the
+// pools in O(chunks) on release.
 //
-// Ownership contract: an arena-backed tree is immutable after parsing
-// and must not be referenced after release — ParsedDoc's refcount is
-// the single authority on when release happens. A nil *arena degrades
-// every method to plain heap allocation (the public Parse path, whose
-// trees are GC-owned and live forever).
+// Lifetime: an arena lives for exactly one ParseDoc call, which copies
+// its extractions out and releases the arena before returning, so no
+// arena-backed node escapes. A nil *arena degrades every method to
+// plain heap allocation (the public Parse path, whose trees are
+// GC-owned and live forever).
 type arena struct {
 	nodes [][]Node
 	nodeN int

@@ -62,43 +62,12 @@ func TestParseDocMatchesWrappers(t *testing.T) {
 		if !reflect.DeepEqual(pd.Links, wantLinks) {
 			t.Errorf("case %d: links differ\n single-walk: %v\n wrappers:    %v", i, pd.Links, wantLinks)
 		}
-		// The arena-backed tree must also match the wrappers when walked
-		// directly (same shape, same attributes).
-		if got := Iframes(pd.Tree); !reflect.DeepEqual(got, wantIframes) {
-			t.Errorf("case %d: arena tree iframes differ: %+v vs %+v", i, got, wantIframes)
-		}
-		if pd.SrcLen != len(src) {
-			t.Errorf("case %d: SrcLen = %d, want %d", i, pd.SrcLen, len(src))
-		}
-		pd.Release()
 	}
 }
 
-// TestParseDocReleasePoisonsTree pins the ownership contract: after the
-// last Release the tree pointer is gone (use-after-release trips on nil
-// instead of silently reading recycled nodes), while the extracted
-// value slices stay valid.
-func TestParseDocReleasePoisonsTree(t *testing.T) {
-	pd := ParseDoc(`<iframe src="/x" allow="camera"></iframe><a href="/l">l</a>`)
-	iframes, links := pd.Iframes, pd.Links
-	pd.Release()
-	if pd.Tree != nil {
-		t.Error("Tree must be nil after the last Release")
-	}
-	if len(iframes) != 1 || iframes[0].Src != "/x" {
-		t.Errorf("extracted iframes must outlive release: %+v", iframes)
-	}
-	if len(links) != 1 || links[0] != "/l" {
-		t.Errorf("extracted links must outlive release: %v", links)
-	}
-	// Releasing a nil doc must be a no-op.
-	var nilDoc *ParsedDoc
-	nilDoc.Release()
-}
-
-// TestArenaRecycling proves released arenas actually return to the
-// pools: parse the same document repeatedly with interleaved releases
-// and verify the trees stay correct even as chunks are reused.
+// TestArenaRecycling: every ParseDoc releases its arena, so repeated
+// parses reuse the same pooled chunks — and the extractions must stay
+// correct as they do.
 func TestArenaRecycling(t *testing.T) {
 	src := `<div><iframe src="/a" allow="camera"></iframe><script>s()</script><a href="/l">x</a></div>`
 	for i := 0; i < 100; i++ {
@@ -106,10 +75,61 @@ func TestArenaRecycling(t *testing.T) {
 		if len(pd.Iframes) != 1 || pd.Iframes[0].Src != "/a" {
 			t.Fatalf("iteration %d: iframes %+v", i, pd.Iframes)
 		}
-		if pd.Tree.First("div") == nil {
-			t.Fatalf("iteration %d: tree lost its div", i)
+		if len(pd.Scripts) != 1 || pd.Scripts[0].Body != "s()" || len(pd.Links) != 1 || pd.Links[0] != "/l" {
+			t.Fatalf("iteration %d: scripts %+v, links %v", i, pd.Scripts, pd.Links)
 		}
-		pd.Release()
+	}
+}
+
+// TestParseDocSurvivesArenaReuse pins the arena invariant: ParseDoc
+// releases its arena before returning, so nothing in a ParsedDoc may
+// alias arena memory. Hold document A while many goroutines parse
+// other documents — recycling A's chunks — and read A concurrently;
+// under -race any aliasing shows as a race, and A's extractions must
+// still equal the wrapper oracle over a GC-owned Parse(A).
+func TestParseDocSurvivesArenaReuse(t *testing.T) {
+	var sb strings.Builder
+	for i := 0; i < 120; i++ { // several node, attr and child chunks
+		fmt.Fprintf(&sb, `<div class="row r%d"><iframe id="f%d" src="/f%d?a=1&amp;b=2" allow="camera; geolocation" sandbox></iframe><script>go%d()</script><script src=" /s%d.js "></script><a href="/l%d">x</a></div>`, i, i, i, i, i, i)
+	}
+	srcA := sb.String()
+	a := ParseDoc(srcA)
+	oracle := Parse(srcA)
+	wantIframes, wantScripts, wantLinks := Iframes(oracle), Scripts(oracle), Links(oracle)
+	check := func() bool {
+		return reflect.DeepEqual(a.Iframes, wantIframes) &&
+			reflect.DeepEqual(a.Scripts, wantScripts) &&
+			reflect.DeepEqual(a.Links, wantLinks)
+	}
+	if !check() {
+		t.Fatal("ParseDoc(A) disagrees with the wrappers before any reuse")
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(2)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				other := extractCorpus[(g+i)%len(extractCorpus)] +
+					fmt.Sprintf(`<iframe src="/churn%d-%d" allow="microphone"></iframe>`, g, i) +
+					strings.Repeat(`<p class="x">overwrite</p>`, 300)
+				ParseDoc(other)
+			}
+		}(g)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				if !check() {
+					t.Error("ParseDoc(A) changed while its arena chunks were reused")
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if !check() {
+		t.Error("ParseDoc(A) changed after its arena chunks were reused")
 	}
 }
 
@@ -124,8 +144,7 @@ func TestParsedDocImmutableUnderConcurrency(t *testing.T) {
 	}
 	src := sb.String()
 	pd := ParseDoc(src)
-	defer pd.Release()
-	want := Iframes(pd.Tree)
+	want := Iframes(Parse(src))
 
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -133,8 +152,8 @@ func TestParsedDocImmutableUnderConcurrency(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				if got := Iframes(pd.Tree); !reflect.DeepEqual(got, want) {
-					t.Error("concurrent walk saw a different tree")
+				if !reflect.DeepEqual(pd.Iframes, want) {
+					t.Error("concurrent read saw different iframes")
 					return
 				}
 				if len(pd.Scripts) != 40 || len(pd.Links) != 40 {

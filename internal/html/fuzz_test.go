@@ -76,7 +76,6 @@ func FuzzParse(f *testing.F) {
 			return true
 		})
 		pd := ParseDoc(src)
-		defer pd.Release()
 		if !reflect.DeepEqual(pd.Iframes, Iframes(tree)) {
 			t.Errorf("iframes diverge on %q", src)
 		}

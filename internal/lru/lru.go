@@ -1,8 +1,8 @@
-// Package lru provides the minimal least-recently-used bookkeeping the
-// crawl caches share. A multi-million-site crawl must keep every cache
-// memory-bounded (ROADMAP: cache size bounds); each cache wraps one of
-// these behind its own lock, so the structure itself is deliberately
-// not concurrency-safe.
+// Package lru provides the least-recently-used bookkeeping the crawl
+// caches share. A multi-million-site crawl must keep every cache
+// memory-bounded: Cache is the bare structure (not concurrency-safe;
+// its owner holds a lock), and Memo builds the content-addressed,
+// singleflighted memo every source-keyed cache uses on top of it.
 package lru
 
 import "container/list"
@@ -15,7 +15,7 @@ type entry[K comparable, V any] struct {
 	size  int64
 }
 
-// Evicted is one entry displaced by an Add/AddWithSize, reported so the
+// Evicted is one entry displaced by an AddWithSize, reported so the
 // caller can release any state tied to it (body interning refcounts,
 // counters).
 type Evicted[K comparable, V any] struct {
@@ -43,11 +43,6 @@ type Cache[K comparable, V any] struct {
 	bytes int64
 }
 
-// New creates an empty cache bounded to maxEntries (<= 0 = unbounded).
-func New[K comparable, V any](maxEntries int) *Cache[K, V] {
-	return NewWithBytes[K, V](maxEntries, 0)
-}
-
 // NewWithBytes creates an empty cache bounded to maxEntries and
 // maxBytes (each <= 0 = that bound unbounded).
 func NewWithBytes[K comparable, V any](maxEntries int, maxBytes int64) *Cache[K, V] {
@@ -73,32 +68,6 @@ func (c *Cache[K, V]) Get(key K) (V, bool) {
 	}
 	var zero V
 	return zero, false
-}
-
-// Peek returns the value without touching recency.
-func (c *Cache[K, V]) Peek(key K) (V, bool) {
-	if el, ok := c.items[key]; ok {
-		return el.Value.(*entry[K, V]).value, true
-	}
-	var zero V
-	return zero, false
-}
-
-// Add inserts or replaces key at zero byte cost, marking it most
-// recently used. Both ways an Add can displace a live value are
-// reported so the caller can release any state tied to it:
-// overwriting an existing key returns the old value with replaced=true,
-// and a fresh insert that pushes the cache past MaxEntries evicts and
-// returns the least recently used entry. The two cases are mutually
-// exclusive — a replace never changes the entry count.
-func (c *Cache[K, V]) Add(key K, value V) (old V, replaced bool, evictedKey K, evictedValue V, evicted bool) {
-	old, replaced, evs := c.AddWithSize(key, value, 0)
-	if len(evs) > 0 {
-		// Size-zero entries cannot trip MaxBytes, so at most one entry
-		// (the MaxEntries overflow) is displaced.
-		evictedKey, evictedValue, evicted = evs[0].Key, evs[0].Value, true
-	}
-	return
 }
 
 // AddWithSize inserts or replaces key charged at size bytes, marking it
@@ -131,19 +100,6 @@ func (c *Cache[K, V]) AddWithSize(key K, value V, size int64) (old V, replaced b
 	return
 }
 
-// Remove deletes key, reporting whether it was present.
-func (c *Cache[K, V]) Remove(key K) bool {
-	el, ok := c.items[key]
-	if !ok {
-		return false
-	}
-	e := el.Value.(*entry[K, V])
-	c.order.Remove(el)
-	delete(c.items, key)
-	c.bytes -= e.size
-	return true
-}
-
 // removeOldest evicts the least recently used entry.
 func (c *Cache[K, V]) removeOldest() (K, V, int64, bool) {
 	el := c.order.Back()
@@ -157,12 +113,4 @@ func (c *Cache[K, V]) removeOldest() (K, V, int64, bool) {
 	delete(c.items, e.key)
 	c.bytes -= e.size
 	return e.key, e.value, e.size, true
-}
-
-// Each calls fn over every live entry in most-recent-first order.
-func (c *Cache[K, V]) Each(fn func(key K, value V)) {
-	for el := c.order.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*entry[K, V])
-		fn(e.key, e.value)
-	}
 }

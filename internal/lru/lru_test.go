@@ -2,10 +2,20 @@ package lru
 
 import "testing"
 
+// add inserts at zero byte cost and reports the single entry a
+// MaxEntries overflow displaced, if any.
+func add[K comparable, V any](c *Cache[K, V], key K, value V) (old V, replaced bool, evictedKey K, evicted bool) {
+	old, replaced, evs := c.AddWithSize(key, value, 0)
+	if len(evs) > 0 {
+		evictedKey, evicted = evs[0].Key, true
+	}
+	return
+}
+
 func TestBasicAddGet(t *testing.T) {
-	c := New[string, int](0)
-	c.Add("a", 1)
-	c.Add("b", 2)
+	c := NewWithBytes[string, int](0, 0)
+	add(c, "a", 1)
+	add(c, "b", 2)
 	if v, ok := c.Get("a"); !ok || v != 1 {
 		t.Fatalf("Get(a) = %d, %v", v, ok)
 	}
@@ -18,14 +28,14 @@ func TestBasicAddGet(t *testing.T) {
 }
 
 func TestEvictionOrder(t *testing.T) {
-	c := New[string, int](2)
-	c.Add("a", 1)
-	c.Add("b", 2)
+	c := NewWithBytes[string, int](2, 0)
+	add(c, "a", 1)
+	add(c, "b", 2)
 	// Touch a so b is the LRU entry.
 	c.Get("a")
-	_, _, k, v, evicted := c.Add("c", 3)
-	if !evicted || k != "b" || v != 2 {
-		t.Fatalf("evicted %q=%d (%v), want b=2", k, v, evicted)
+	_, _, evs := c.AddWithSize("c", 3, 0)
+	if len(evs) != 1 || evs[0].Key != "b" || evs[0].Value != 2 {
+		t.Fatalf("evicted %+v, want b=2", evs)
 	}
 	if _, ok := c.Get("b"); ok {
 		t.Fatal("b must be gone")
@@ -39,10 +49,10 @@ func TestEvictionOrder(t *testing.T) {
 // displaced value back, so callers tracking per-value state (interned
 // body refcounts) can release it — silently dropping it leaks.
 func TestReplaceReturnsOldValue(t *testing.T) {
-	c := New[string, int](2)
-	c.Add("a", 1)
-	c.Add("b", 2)
-	old, replaced, _, _, evicted := c.Add("a", 10)
+	c := NewWithBytes[string, int](2, 0)
+	add(c, "a", 1)
+	add(c, "b", 2)
+	old, replaced, _, evicted := add(c, "a", 10)
 	if evicted {
 		t.Fatal("replacing a live key must not evict")
 	}
@@ -56,7 +66,7 @@ func TestReplaceReturnsOldValue(t *testing.T) {
 		t.Fatalf("Len = %d, want 2 (replace keeps the entry count)", c.Len())
 	}
 	// A fresh insert must not claim a replace happened.
-	if _, replaced, _, _, _ := c.Add("c", 3); replaced {
+	if _, replaced, _, _ := add(c, "c", 3); replaced {
 		t.Fatal("fresh insert must not report replaced")
 	}
 }
@@ -64,37 +74,26 @@ func TestReplaceReturnsOldValue(t *testing.T) {
 // TestReplaceRefreshesRecency: a replace counts as a use — the
 // replaced key must become the most recently used entry.
 func TestReplaceRefreshesRecency(t *testing.T) {
-	c := New[string, int](2)
-	c.Add("a", 1)
-	c.Add("b", 2)
-	c.Add("a", 10) // a is now most recent; b is the LRU entry
-	if _, _, k, _, evicted := c.Add("c", 3); !evicted || k != "b" {
+	c := NewWithBytes[string, int](2, 0)
+	add(c, "a", 1)
+	add(c, "b", 2)
+	add(c, "a", 10) // a is now most recent; b is the LRU entry
+	if _, _, k, evicted := add(c, "c", 3); !evicted || k != "b" {
 		t.Fatalf("evicted %q (%v), want b", k, evicted)
 	}
 }
 
-func TestPeekDoesNotTouchRecency(t *testing.T) {
-	c := New[string, int](2)
-	c.Add("a", 1)
-	c.Add("b", 2)
-	c.Peek("a") // must NOT refresh a
-	if _, _, k, _, evicted := c.Add("c", 3); !evicted || k != "a" {
-		t.Fatalf("evicted %q (%v), want a", k, evicted)
-	}
-}
-
-func TestRemoveAndUnbounded(t *testing.T) {
-	c := New[int, int](0)
+// TestUnboundedNeverEvicts: with both bounds off the cache is a plain
+// map plus recency list.
+func TestUnboundedNeverEvicts(t *testing.T) {
+	c := NewWithBytes[int, int](0, 0)
 	for i := 0; i < 1000; i++ {
-		if _, _, _, _, evicted := c.Add(i, i); evicted {
+		if _, _, evs := c.AddWithSize(i, i, 1<<20); len(evs) != 0 {
 			t.Fatal("unbounded cache must never evict")
 		}
 	}
-	if !c.Remove(500) || c.Remove(500) {
-		t.Fatal("Remove must report presence exactly once")
-	}
-	if c.Len() != 999 {
-		t.Fatalf("Len = %d", c.Len())
+	if c.Len() != 1000 || c.Bytes() != 1000<<20 {
+		t.Fatalf("Len=%d Bytes=%d", c.Len(), c.Bytes())
 	}
 }
 
@@ -136,7 +135,7 @@ func TestByteBudgetOversizedEntry(t *testing.T) {
 }
 
 // TestByteBudgetReplaceSwapsCharge: overwriting a key swaps its byte
-// charge rather than double-counting, and Remove refunds it.
+// charge rather than double-counting, and eviction refunds it.
 func TestByteBudgetReplaceSwapsCharge(t *testing.T) {
 	c := NewWithBytes[string, string](0, 100)
 	c.AddWithSize("a", "A", 30)
@@ -147,9 +146,9 @@ func TestByteBudgetReplaceSwapsCharge(t *testing.T) {
 	if c.Bytes() != 70 {
 		t.Fatalf("Bytes = %d, want 70 (charge swapped, not summed)", c.Bytes())
 	}
-	c.AddWithSize("b", "B", 30)
-	if !c.Remove("a") || c.Bytes() != 30 {
-		t.Fatalf("Remove(a): Bytes = %d, want 30", c.Bytes())
+	// 40 more bytes overflow the budget and push out a's 70.
+	if _, _, ev := c.AddWithSize("b", "B", 40); len(ev) != 1 || ev[0].Size != 70 || c.Bytes() != 40 {
+		t.Fatalf("evicting a: evicted %+v, Bytes = %d, want a at 70 and 40 left", ev, c.Bytes())
 	}
 }
 

@@ -44,9 +44,10 @@ func TestParseCacheErrorsCached(t *testing.T) {
 	}
 }
 
-// TestParseCacheConcurrent hammers one source from many goroutines;
-// under -race this proves cache and shared *Program are safe, and the
-// accounting shows exactly one real parse.
+// TestParseCacheConcurrent hammers one source from many goroutines,
+// each executing the shared program in a private interpreter; under
+// -race this proves a cached *Program is safe to share. (The
+// singleflight accounting itself is lru.Memo's, tested there.)
 func TestParseCacheConcurrent(t *testing.T) {
 	c := NewParseCache()
 	src := `function f(n) { var total = 0; for (var i = 0; i < n; i++) { total += i; } return total; } f(10);`
@@ -82,12 +83,5 @@ func TestParseCacheConcurrent(t *testing.T) {
 		if progs[i] != progs[0] {
 			t.Fatal("goroutines saw different programs for one source")
 		}
-	}
-	s := c.Stats()
-	if s.Misses != 1 || s.Entries != 1 {
-		t.Errorf("stats = %+v, want exactly one parse", s)
-	}
-	if s.Hits+s.Coalesced != goroutines-1 {
-		t.Errorf("hits (%d) + coalesced (%d) != %d", s.Hits, s.Coalesced, goroutines-1)
 	}
 }

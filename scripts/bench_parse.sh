@@ -6,8 +6,8 @@
 # the warm allocation ceiling. The Zipf pair measures exactly the
 # tentpole win: a shared widget document fetched by many sites parses
 # once and is served from the content-addressed cache thereafter; the
-# allocation ceiling pins the arena/pooling work (a warm hit is one
-# hash-key allocation, not a tree rebuild).
+# allocation ceiling pins the content-addressed hit path (a warm hit is
+# one hash-key allocation, not a re-parse).
 #
 # Usage: scripts/bench_parse.sh [output.json]
 #   PERMODYSSEY_PARSE_MIN_SPEEDUP      required cold/warm ratio (default 2.0)
