@@ -173,7 +173,7 @@ func (b *Browser) Visit(ctx context.Context, pageURL string) (*PageResult, error
 	if resp.Status >= 400 {
 		return nil, fmt.Errorf("status %d fetching %s", resp.Status, pageURL)
 	}
-	top := b.newFrameResult(pageURL, resp, nil, html.Iframe{}, 0, false)
+	top := b.newFrameResult(pageURL, resp, html.Iframe{}, 0)
 	o, err := origin.Parse(resp.FinalURL)
 	if err != nil {
 		return nil, fmt.Errorf("unparseable final URL %q: %w", resp.FinalURL, err)
@@ -186,22 +186,15 @@ func (b *Browser) Visit(ctx context.Context, pageURL string) (*PageResult, error
 }
 
 // newFrameResult captures headers and identity for a fetched frame.
-func (b *Browser) newFrameResult(frameURL string, resp *Response, parent *FrameResult,
-	el html.Iframe, depth int, local bool) *FrameResult {
+func (b *Browser) newFrameResult(frameURL string, resp *Response, el html.Iframe, depth int) *FrameResult {
 	fr := &FrameResult{
-		URL:      frameURL,
-		Depth:    depth,
-		TopLevel: depth == 0,
-		Element:  el,
+		URL:           frameURL,
+		FinalURL:      resp.FinalURL,
+		BodyTruncated: resp.BodyTruncated,
+		Depth:         depth,
+		TopLevel:      depth == 0,
+		Element:       el,
 	}
-	if local {
-		fr.LocalScheme = true
-		fr.Origin = "null"
-		fr.FinalURL = frameURL
-		return fr
-	}
-	fr.FinalURL = resp.FinalURL
-	fr.BodyTruncated = resp.BodyTruncated
 	if o, err := origin.Parse(resp.FinalURL); err == nil {
 		fr.Origin = o.String()
 		fr.Site = o.Site()
@@ -219,7 +212,6 @@ func (b *Browser) newFrameResult(frameURL string, resp *Response, parent *FrameR
 		fr.ReportOnlyRaw = v
 	}
 	fr.CSPRaw = resp.Header.Get("Content-Security-Policy")
-	_ = parent
 	return fr
 }
 
@@ -400,7 +392,7 @@ func (b *Browser) loadChildFrame(ctx context.Context, result *PageResult,
 		})
 		return
 	}
-	fr := b.newFrameResult(frameURL, resp, parentFR, el, depth, false)
+	fr := b.newFrameResult(frameURL, resp, el, depth)
 	docOrigin, err := origin.Parse(resp.FinalURL)
 	if err != nil {
 		fr.LoadError = "unparseable frame origin"

@@ -114,21 +114,34 @@ type Permission struct {
 // PolicyControlled reports whether the permission has an allowlist.
 func (p Permission) PolicyControlled() bool { return p.Default != DefaultNone }
 
-// registry holds every known permission, keyed by Name.
-var registry = map[string]Permission{}
+// registry holds every known permission in registration order; a
+// permission's position in it is its dense index.
+var registry []Permission
 
-// ordered keeps registration order for deterministic iteration.
-var ordered []string
+// index maps each registered Name to its dense index.
+var index = map[string]int{}
+
+// byQuery maps each non-empty QueryName to its permission's dense index.
+var byQuery = map[string]int{}
 
 func register(p Permission) {
 	if p.DisplayName == "" {
 		p.DisplayName = titleize(p.Name)
 	}
-	if _, dup := registry[p.Name]; dup {
+	if _, dup := index[p.Name]; dup {
 		panic(fmt.Sprintf("permissions: duplicate registration of %q", p.Name))
 	}
-	registry[p.Name] = p
-	ordered = append(ordered, p.Name)
+	if len(registry) == maxPermissions {
+		panic(fmt.Sprintf("permissions: registering %q exceeds the %d-permission Set", p.Name, maxPermissions))
+	}
+	if p.QueryName != "" {
+		if _, dup := byQuery[p.QueryName]; dup {
+			panic(fmt.Sprintf("permissions: duplicate query name %q", p.QueryName))
+		}
+		byQuery[p.QueryName] = len(registry)
+	}
+	index[p.Name] = len(registry)
+	registry = append(registry, p)
 }
 
 func titleize(name string) string {
@@ -142,10 +155,22 @@ func titleize(name string) string {
 	return strings.Join(parts, " ")
 }
 
-// Lookup returns the permission registered under name.
+// Lookup returns the permission registered under name, ignoring case
+// and surrounding whitespace.
 func Lookup(name string) (Permission, bool) {
-	p, ok := registry[strings.ToLower(strings.TrimSpace(name))]
-	return p, ok
+	i, ok := index[strings.ToLower(strings.TrimSpace(name))]
+	if !ok {
+		return Permission{}, false
+	}
+	return registry[i], true
+}
+
+// Index returns the dense index of the permission registered under
+// exactly name (no case folding or trimming). Indexes follow
+// registration order, so they are stable within a build and key Set.
+func Index(name string) (int, bool) {
+	i, ok := index[name]
+	return i, ok
 }
 
 // Known reports whether name is a registered permission token.
@@ -156,11 +181,7 @@ func Known(name string) bool {
 
 // All returns every registered permission in registration order.
 func All() []Permission {
-	out := make([]Permission, 0, len(ordered))
-	for _, name := range ordered {
-		out = append(out, registry[name])
-	}
-	return out
+	return append([]Permission(nil), registry...)
 }
 
 // PolicyControlledNames returns the sorted names of all policy-controlled
@@ -194,10 +215,8 @@ func PowerfulNames() []string {
 // tokens, e.g. query "notifications" ↔ Notification API).
 func ByQueryName(name string) (Permission, bool) {
 	name = strings.ToLower(strings.TrimSpace(name))
-	for _, p := range registry {
-		if p.QueryName == name {
-			return p, true
-		}
+	if i, ok := byQuery[name]; ok {
+		return registry[i], true
 	}
 	return Lookup(name)
 }

@@ -1,7 +1,9 @@
 package permissions
 
 import (
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -234,5 +236,141 @@ func TestGeneralAPIs(t *testing.T) {
 	}
 	if dep == 0 || cur == 0 {
 		t.Error("need both Feature-Policy and Permissions-Policy API names")
+	}
+}
+
+// TestIndexIsRegistrationOrder: dense indexes follow All() and match
+// names exactly, unlike Lookup.
+func TestIndexIsRegistrationOrder(t *testing.T) {
+	for want, p := range All() {
+		if i, ok := Index(p.Name); !ok || i != want {
+			t.Errorf("Index(%q) = %d, %v; want %d", p.Name, i, ok, want)
+		}
+	}
+	for _, name := range []string{"Camera", " camera", "made-up", ""} {
+		if _, ok := Index(name); ok {
+			t.Errorf("Index(%q) resolved; only exact registry names do", name)
+		}
+	}
+	if _, ok := Lookup(" Camera "); !ok {
+		t.Error("Lookup folds case and trims")
+	}
+}
+
+func TestSetOps(t *testing.T) {
+	var s Set
+	for _, i := range []int{0, 5, 63, 64, maxPermissions - 1} {
+		s.Add(i)
+		if !s.Has(i) {
+			t.Errorf("Add(%d) then Has = false", i)
+		}
+	}
+	s.Remove(5)
+	if s.Has(5) || !s.Has(63) {
+		t.Error("Remove(5) changed the wrong bits")
+	}
+	var t2 Set
+	t2.Add(0)
+	t2.Add(7)
+	if got := s.And(t2); !got.Has(0) || got.Has(7) || got.Has(63) {
+		t.Errorf("And = %v", got)
+	}
+	if got := s.Or(t2); !got.Has(7) || !got.Has(64) {
+		t.Errorf("Or = %v", got)
+	}
+	if got := s.AndNot(t2); got.Has(0) || !got.Has(63) {
+		t.Errorf("AndNot = %v", got)
+	}
+
+	powerful := SetOf(func(p Permission) bool { return p.Powerful })
+	var want []string
+	for _, p := range All() {
+		if p.Powerful {
+			want = append(want, p.Name)
+		}
+	}
+	if got := powerful.Names(); !reflect.DeepEqual(got, want) {
+		t.Errorf("SetOf(powerful).Names() = %v; want registry order %v", got, want)
+	}
+	if (Set{}).Names() != nil {
+		t.Error("the empty set names nothing")
+	}
+}
+
+// TestSupportedSetMatchesPermissions: the memoized surface agrees with
+// the sorted list, and callers cannot corrupt it through the copy they
+// get.
+func TestSupportedSetMatchesPermissions(t *testing.T) {
+	for _, b := range Browsers {
+		for _, v := range []int{60, 100, 127} {
+			names := SupportedPermissions(b, v)
+			set := SupportedSet(b, v)
+			n := 0
+			for _, name := range names {
+				if i, ok := Index(name); ok {
+					n++
+					if !set.Has(i) {
+						t.Errorf("%s %d: %s listed but not in the set", b, v, name)
+					}
+				}
+			}
+			if got := len(set.Names()); got != n {
+				t.Errorf("%s %d: set holds %d permissions; list has %d registered", b, v, got, n)
+			}
+			if len(names) > 0 {
+				names[0] = "clobbered"
+				if SupportedPermissions(b, v)[0] == "clobbered" {
+					t.Fatalf("%s %d: SupportedPermissions shares its backing array", b, v)
+				}
+			}
+		}
+	}
+}
+
+// TestSupportedSetConcurrent: crawl workers share the memoized
+// surfaces; first sights of a version race to build them.
+func TestSupportedSetConcurrent(t *testing.T) {
+	want := map[int]Set{}
+	for v := 200; v < 204; v++ {
+		for name, m := range supportMatrix {
+			if i, ok := Index(name); ok && m[Chromium].Supported(v) {
+				s := want[v]
+				s.Add(i)
+				want[v] = s
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < 50; k++ {
+				v := 200 + (g+k)%4
+				if got := SupportedSet(Chromium, v); got != want[v] {
+					t.Errorf("SupportedSet(Chromium, %d) = %v; want %v", v, got, want[v])
+					return
+				}
+				if len(SupportedPermissions(Chromium, v)) == 0 {
+					t.Errorf("SupportedPermissions(Chromium, %d) is empty", v)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestByQueryNameFolds: query names fold case and whitespace, and fall
+// back to registry names.
+func TestByQueryNameFolds(t *testing.T) {
+	if p, ok := ByQueryName(" Payment-Handler "); !ok || p.Name != "payment" {
+		t.Errorf("ByQueryName(Payment-Handler) = %v, %v", p.Name, ok)
+	}
+	if p, ok := ByQueryName("fullscreen"); !ok || p.Name != "fullscreen" {
+		t.Errorf("registry names resolve without a query name: %v, %v", p.Name, ok)
+	}
+	if _, ok := ByQueryName(""); ok {
+		t.Error("the empty query name resolves to nothing")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Browser identifies a browser engine family for the support matrix.
@@ -175,14 +176,47 @@ func SupportedIn(name string, b Browser, version int) bool {
 // support in the given browser at the given version. This drives the
 // header generator's "supported permissions" list (§6.3).
 func SupportedPermissions(b Browser, version int) []string {
-	var out []string
+	return append([]string(nil), surfaceOf(b, version).names...)
+}
+
+// SupportedSet returns the registered permissions with API support in
+// the given browser at the given version.
+func SupportedSet(b Browser, version int) Set {
+	return surfaceOf(b, version).set
+}
+
+// surface is one browser version's supported permissions.
+type surface struct {
+	names []string // sorted; shared, never modified
+	set   Set
+}
+
+type browserVersion struct {
+	b       Browser
+	version int
+}
+
+// surfaces memoizes surfaceOf: a crawl asks for the same one or two
+// (browser, version) pairs on every allowedFeatures() call.
+var surfaces sync.Map // browserVersion → *surface
+
+func surfaceOf(b Browser, version int) *surface {
+	key := browserVersion{b, version}
+	if s, ok := surfaces.Load(key); ok {
+		return s.(*surface)
+	}
+	s := &surface{}
 	for name, m := range supportMatrix {
 		if m[b].Supported(version) {
-			out = append(out, name)
+			s.names = append(s.names, name)
+			if i, ok := Index(name); ok {
+				s.set.Add(i)
+			}
 		}
 	}
-	sort.Strings(out)
-	return out
+	sort.Strings(s.names)
+	actual, _ := surfaces.LoadOrStore(key, s)
+	return actual.(*surface)
 }
 
 // Change is one historical support transition for the change tracker

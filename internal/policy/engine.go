@@ -35,7 +35,8 @@ func (m SpecMode) String() string {
 // Document is a document with its computed Permissions Policy: the
 // declared policy (from its own headers — or, for local-scheme
 // documents under SpecExpected, inherited from the parent) and the
-// per-feature inherited policy computed from the embedding context.
+// inherited policy computed from the embedding context, held as a set
+// of policy-controlled features keyed by permissions.Index.
 type Document struct {
 	// Origin is the document's effective origin for policy evaluation.
 	// Local-scheme documents evaluate with their parent's origin (they
@@ -48,8 +49,22 @@ type Document struct {
 	// LocalScheme marks documents loaded from local schemes.
 	LocalScheme bool
 
-	parent    *Document
-	inherited map[string]bool
+	parent *Document
+	// inherited holds the features whose inherited policy is Enabled;
+	// self holds those enabled for the document's own origin (inherited
+	// and, where Declared names the feature, matched by its allowlist).
+	inherited, self permissions.Set
+}
+
+// The feature masks the inheritance pass reads, fixed at init.
+var (
+	policyControlled = permissions.SetOf(permissions.Permission.PolicyControlled)
+	defaultAll       = withDefault(permissions.DefaultAll)
+	defaultSelf      = withDefault(permissions.DefaultSelf)
+)
+
+func withDefault(d permissions.DefaultAllowlist) permissions.Set {
+	return permissions.SetOf(func(p permissions.Permission) bool { return p.Default == d })
 }
 
 // NewTopLevel creates the policy document for a top-level navigation.
@@ -105,18 +120,7 @@ func NewSubframe(parent *Document, spec FrameSpec, mode SpecMode) *Document {
 }
 
 // computeInherited runs "Define an inherited policy for feature in
-// container at origin" for every policy-controlled feature.
-func (d *Document) computeInherited(parent *Document, containerPolicy Policy, srcOrigin origin.Origin) {
-	d.inherited = make(map[string]bool)
-	for _, p := range permissions.All() {
-		if !p.PolicyControlled() {
-			continue
-		}
-		d.inherited[p.Name] = inheritedPolicyFor(p, parent, containerPolicy, d.Origin, srcOrigin)
-	}
-}
-
-// inheritedPolicyFor implements the specification algorithm:
+// container at origin" for every policy-controlled feature at once:
 //
 //  1. If container is null, return Enabled.
 //  2. If feature is Disabled in the container document for the container
@@ -129,27 +133,71 @@ func (d *Document) computeInherited(parent *Document, containerPolicy Policy, sr
 //  6. If the feature's default allowlist is 'self' and the new origin is
 //     same origin with the container document's origin, return Enabled.
 //  7. Return Disabled.
-func inheritedPolicyFor(p permissions.Permission, parent *Document, containerPolicy Policy,
-	childOrigin, srcOrigin origin.Origin) bool {
+//
+// Directives naming unknown features, features that are not
+// policy-controlled, or a feature already named earlier in the same
+// policy are ignored, as Policy.Get would ignore them.
+func (d *Document) computeInherited(parent *Document, containerPolicy Policy, srcOrigin origin.Origin) {
 	if parent == nil {
-		return true
+		d.inherited = policyControlled
+	} else {
+		enabled := parent.self.And(parent.enabledFor(d.Origin)) // steps 2–3
+		var named, matched permissions.Set                      // step 4
+		for _, dir := range containerPolicy.Directives {
+			i, ok := permissions.Index(dir.Feature)
+			if !ok || !policyControlled.Has(i) || named.Has(i) {
+				continue
+			}
+			named.Add(i)
+			if enabled.Has(i) && dir.Allowlist.Matches(d.Origin, parent.Origin, srcOrigin) {
+				matched.Add(i)
+			}
+		}
+		defaults := defaultAll // steps 5–7
+		if d.Origin.SameOrigin(parent.Origin) {
+			defaults = defaults.Or(defaultSelf)
+		}
+		d.inherited = enabled.And(matched.Or(defaults.AndNot(named)))
 	}
-	if !parent.EnabledForOrigin(p.Name, parent.Origin) {
-		return false
+	d.self = d.enabledFor(d.Origin)
+}
+
+// enabledFor returns the features enabled in d for origin o: the
+// inherited set minus each feature whose declared allowlist (the first
+// directive naming it) does not match o.
+func (d *Document) enabledFor(o origin.Origin) permissions.Set {
+	out := d.inherited
+	var named permissions.Set
+	for _, dir := range d.Declared.Directives {
+		i, ok := permissions.Index(dir.Feature)
+		if !ok || named.Has(i) {
+			continue
+		}
+		named.Add(i)
+		if out.Has(i) && !dir.Allowlist.Matches(o, d.Origin, origin.Origin{}) {
+			out.Remove(i)
+		}
 	}
-	if !parent.EnabledForOrigin(p.Name, childOrigin) {
-		return false
-	}
-	if al, ok := containerPolicy.Get(p.Name); ok {
-		return al.Matches(childOrigin, parent.Origin, srcOrigin)
-	}
-	switch p.Default {
-	case permissions.DefaultAll:
-		return true
-	case permissions.DefaultSelf:
-		return childOrigin.SameOrigin(parent.Origin)
-	}
-	return false
+	return out
+}
+
+// controlledIndex returns the index of the policy-controlled feature
+// named exactly feature. Policy-controlled features are matched by exact
+// name: "Camera" is not camera.
+func controlledIndex(feature string) (int, bool) {
+	i, ok := permissions.Index(feature)
+	return i, ok && policyControlled.Has(i)
+}
+
+// uncontrolled answers for every name that is not exactly a
+// policy-controlled feature. Features that are not policy-controlled are
+// enabled exactly in top-level documents (paper §4.1.1: notifications
+// "cannot be delegated", hence the low embedded counts); only this rule
+// folds case and trims whitespace. Every other name — unknown, or a
+// case variant of a policy-controlled feature — is never enabled.
+func (d *Document) uncontrolled(feature string) bool {
+	p, known := permissions.Lookup(feature)
+	return known && !p.PolicyControlled() && d.parent == nil
 }
 
 // EnabledForOrigin implements "Is feature enabled in document for
@@ -159,16 +207,12 @@ func inheritedPolicyFor(p permissions.Permission, parent *Document, containerPol
 //  2. If feature is in the declared policy, return whether its allowlist
 //     matches origin.
 //  3. Return Enabled (the inherited policy was Enabled).
-//
-// Features that are not policy-controlled are enabled exactly in
-// top-level documents (paper §4.1.1: notifications "cannot be
-// delegated", hence the low embedded counts).
 func (d *Document) EnabledForOrigin(feature string, o origin.Origin) bool {
-	p, known := permissions.Lookup(feature)
-	if known && !p.PolicyControlled() {
-		return d.parent == nil
+	i, ok := controlledIndex(feature)
+	if !ok {
+		return d.uncontrolled(feature)
 	}
-	if !d.inherited[feature] {
+	if !d.inherited.Has(i) {
 		return false
 	}
 	if al, ok := d.Declared.Get(feature); ok {
@@ -181,22 +225,21 @@ func (d *Document) EnabledForOrigin(feature string, o origin.Origin) bool {
 // condition for the corresponding APIs being callable (and, for
 // powerful features, for the browser being willing to prompt).
 func (d *Document) Allowed(feature string) bool {
-	return d.EnabledForOrigin(feature, d.Origin)
+	if i, ok := controlledIndex(feature); ok {
+		return d.self.Has(i)
+	}
+	return d.uncontrolled(feature)
 }
+
+// AllowedSet returns the policy-controlled features allowed in this
+// document.
+func (d *Document) AllowedSet() permissions.Set { return d.self }
 
 // AllowedFeatures returns the features allowed in this document, in
 // registry order — the value the
 // document.featurePolicy.allowedFeatures() / permissionsPolicy API
 // exposes to scripts (heavily called per Table 4/5).
-func (d *Document) AllowedFeatures() []string {
-	var out []string
-	for _, p := range permissions.All() {
-		if p.PolicyControlled() && d.Allowed(p.Name) {
-			out = append(out, p.Name)
-		}
-	}
-	return out
-}
+func (d *Document) AllowedFeatures() []string { return d.self.Names() }
 
 // CanDelegate reports whether this document can delegate the feature to
 // a child at childOrigin via an allow attribute — i.e. whether the

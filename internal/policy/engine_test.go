@@ -292,3 +292,69 @@ func TestIsTopLevelAndParent(t *testing.T) {
 		t.Error("subframe misclassified")
 	}
 }
+
+// TestFeatureNameHandling pins how the engine matches feature names. A
+// policy-controlled feature is matched by its exact registry name; only
+// the "not policy-controlled ⇒ top level only" rule folds case and trims
+// whitespace; unknown names are never enabled. Allow attributes reach
+// the engine already lowercased by ParseAllowAttr.
+func TestFeatureNameHandling(t *testing.T) {
+	top := NewTopLevel(exampleOrg, Policy{})
+	same := NewSubframe(top, FrameSpec{SrcOrigin: exampleOrg, DocumentOrigin: exampleOrg}, SpecActual)
+	for _, tc := range []struct {
+		feature   string
+		top, same bool
+	}{
+		{"camera", true, true},
+		{"Camera", false, false},
+		{" camera", false, false},
+		{"notifications", true, false},
+		{" Notifications ", true, false},
+		{"PUSH", true, false},
+		{"made-up", false, false},
+		{"", false, false},
+	} {
+		if got := top.Allowed(tc.feature); got != tc.top {
+			t.Errorf("top.Allowed(%q) = %v; want %v", tc.feature, got, tc.top)
+		}
+		if got := same.Allowed(tc.feature); got != tc.same {
+			t.Errorf("same-origin frame Allowed(%q) = %v; want %v", tc.feature, got, tc.same)
+		}
+		// Without a header the top level's answer holds for every origin.
+		if got := top.EnabledForOrigin(tc.feature, iframeCom); got != tc.top {
+			t.Errorf("top.EnabledForOrigin(%q, iframe.com) = %v; want %v", tc.feature, got, tc.top)
+		}
+	}
+
+	// A declared directive is matched by exact name too: "Geolocation"
+	// neither reads nor is restricted by geolocation=().
+	restricted := NewTopLevel(exampleOrg, mustPP(t, "geolocation=()"))
+	if restricted.EnabledForOrigin("geolocation", exampleOrg) {
+		t.Error("geolocation=() must disable geolocation")
+	}
+	if restricted.EnabledForOrigin("Geolocation", exampleOrg) {
+		t.Error("a case variant of a policy-controlled feature is never enabled")
+	}
+
+	// The allow attribute lowercases feature names, so allow="Camera"
+	// delegates camera; allow="notifications" delegates nothing because
+	// the feature is not policy-controlled.
+	for _, tc := range []struct {
+		allow, feature string
+		want           bool
+	}{
+		{"Camera", "camera", true},
+		{"CAMERA *", "camera", true},
+		{"", "camera", false},
+		{"notifications", "notifications", false},
+		{"notifications *", "notifications", false},
+		{"made-up", "made-up", false},
+	} {
+		frame := NewSubframe(top, FrameSpec{
+			SrcOrigin: iframeCom, DocumentOrigin: iframeCom, Allow: mustAllow(tc.allow),
+		}, SpecActual)
+		if got := frame.Allowed(tc.feature); got != tc.want {
+			t.Errorf("allow=%q: frame.Allowed(%q) = %v; want %v", tc.allow, tc.feature, got, tc.want)
+		}
+	}
+}

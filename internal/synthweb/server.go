@@ -26,6 +26,7 @@ type Server struct {
 
 	mu        sync.RWMutex
 	siteRank  map[string]int // site host → rank
+	kinds     []SiteKind     // kinds[rank-1] is Generate(rank).Kind
 	scriptURL map[string]string
 	widgetKey map[string]int // widget host → catalog index
 
@@ -50,10 +51,12 @@ func NewServer(cfg Config) *Server {
 		StallTime: 2 * time.Second,
 		chaos:     cfg.Chaos.withDefaults(cfg.Seed),
 		flapCount: map[string]int{},
+		kinds:     make([]SiteKind, max(cfg.NumSites, 0)),
 	}
 	for rank := 1; rank <= cfg.NumSites; rank++ {
 		site := cfg.Generate(rank)
 		s.siteRank[site.Host] = rank
+		s.kinds[rank-1] = site.Kind
 	}
 	for i, w := range Catalog {
 		s.widgetKey["www."+w.Site] = i
@@ -116,7 +119,7 @@ func (s *Server) Transport() http.RoundTripper {
 				host = h
 			}
 			if rank, ok := s.rankOf(host); ok {
-				if s.Config.Generate(rank).Kind == KindUnreachable {
+				if s.kinds[rank-1] == KindUnreachable {
 					return nil, &net.DNSError{Err: "no such host", Name: host, IsNotFound: true}
 				}
 			}

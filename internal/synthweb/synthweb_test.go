@@ -447,3 +447,33 @@ func TestServerSitesAndInternalPages(t *testing.T) {
 	}
 	t.Skip("no internal pages in this small sample")
 }
+
+// TestServerRecordsSiteKinds: the kinds NewServer records for the dialer
+// are exactly the generator's, with chaos on and off, so the dialer
+// fails the same hosts it did when it regenerated each site.
+func TestServerRecordsSiteKinds(t *testing.T) {
+	for _, chaos := range []bool{false, true} {
+		cfg := DefaultConfig()
+		cfg.NumSites = 600
+		cfg.Seed = 11
+		if chaos {
+			cfg.Chaos = DefaultChaosConfig()
+		}
+		srv := NewServer(cfg)
+		if len(srv.kinds) != cfg.NumSites {
+			t.Fatalf("chaos=%v: %d kinds recorded for %d sites", chaos, len(srv.kinds), cfg.NumSites)
+		}
+		unreachable := 0
+		for rank := 1; rank <= cfg.NumSites; rank++ {
+			if got, want := srv.kinds[rank-1], cfg.Generate(rank).Kind; got != want {
+				t.Fatalf("chaos=%v rank %d: recorded kind %v; Generate says %v", chaos, rank, got, want)
+			}
+			if srv.kinds[rank-1] == KindUnreachable {
+				unreachable++
+			}
+		}
+		if unreachable == 0 {
+			t.Errorf("chaos=%v: no unreachable site among %d; the check is vacuous", chaos, cfg.NumSites)
+		}
+	}
+}

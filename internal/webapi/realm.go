@@ -682,17 +682,7 @@ func installPolicyAPIs(doc *script.Object) {
 // browser's supported surface — allowedFeatures() only reports features
 // the engine knows, which is what makes it a version fingerprint.
 func (r *Realm) supportedAllowed() []string {
-	supported := map[string]bool{}
-	for _, name := range permissions.SupportedPermissions(r.Browser, r.Version) {
-		supported[name] = true
-	}
-	var out []string
-	for _, f := range r.Doc.AllowedFeatures() {
-		if supported[f] {
-			out = append(out, f)
-		}
-	}
-	return out
+	return r.Doc.AllowedSet().And(permissions.SupportedSet(r.Browser, r.Version)).Names()
 }
 
 // pushSubscribeV backs pushManager.subscribe on every registration.
